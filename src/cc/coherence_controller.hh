@@ -53,7 +53,6 @@
 #include "protocol/occupancy.hh"
 #include "protocol/retry.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma
@@ -159,8 +158,7 @@ struct CcParams
  * invalidation transactions its handlers issue) and the bus's
  * coherence hook (the bus-side directory logic).
  */
-class CoherenceController : public BusAgent, public BusCoherenceHook,
-                            public Snapshottable
+class CoherenceController : public BusAgent, public BusCoherenceHook
 {
   public:
     CoherenceController(const std::string &name, EventQueue &eq,
@@ -384,15 +382,6 @@ class CoherenceController : public BusAgent, public BusCoherenceHook,
 
     /** Dump transaction state for deadlock diagnosis. */
     void dumpState(std::ostream &os) const;
-
-    // --- speculative checkpointing: full value copy of all
-    // transient protocol state (the directory store snapshots
-    // separately via its own journals). In-flight handler
-    // continuations are by-value lambda captures in the event
-    // queue, so the queue snapshot carries them; the Exec contexts
-    // parked in fetches_ are deep-copied here. ---
-    std::shared_ptr<const void> specSave(std::size_t &bytes) override;
-    void specRestore(const void *snap) override;
 
     stats::Group &statGroup() { return statGroup_; }
 
@@ -751,38 +740,6 @@ class CoherenceController : public BusAgent, public BusCoherenceHook,
     PoisonFence poisonFence_;
     /** Permanently retired (degraded mode); never serves again. */
     bool deadForever_ = false;
-
-    /**
-     * Value snapshot of the controller (speculation). Every member
-     * mirrors a transient-state field above; fetches holds deep
-     * copies of the in-flight Exec contexts.
-     */
-    struct SpecSnap
-    {
-        RetryTracker retries;
-        std::vector<Engine> engines;
-        std::unordered_map<Addr, HomeTxn> homeBusy;
-        std::unordered_map<Addr, unsigned> deferredLocal;
-        std::unordered_map<Addr, std::deque<DispatchItem>> homeWaiting;
-        std::unordered_map<Addr, ReqPending> reqPending;
-        std::unordered_map<Addr, WbEntry> wbBuffer;
-        std::unordered_map<Addr, std::deque<DispatchItem>> wbWaiting;
-        std::unordered_map<std::uint64_t, Exec> fetches;
-        CcState state;
-        std::uint64_t epoch;
-        std::deque<DispatchItem> crashReplay;
-        bool dirLost;
-        std::deque<Msg> rebuildParkedWb;
-        std::deque<NodeId> probePendingPeers;
-        unsigned probeDonesOutstanding;
-        std::uint64_t probeRespsExpected;
-        std::uint64_t probeRespsApplied;
-        Tick restartTick;
-        Tick reconstructionTicksMax;
-        std::unordered_map<Addr, MissLadder> missLadders;
-        std::unordered_set<Addr> deadLines;
-        bool deadForever;
-    };
 
     stats::Group statGroup_;
 };

@@ -100,26 +100,6 @@ class LineMap
         store_.clear();
     }
 
-    /**
-     * Remove the most recently inserted entry, which must be @p key
-     * (speculative rollback undoes insertions in strict reverse
-     * insertion order). Clearing the newest entry's slot cannot break
-     * an older entry's probe chain: no erase ever happens otherwise,
-     * so every slot an older key probed through when it was placed is
-     * still occupied — none of them can be the slot being cleared,
-     * which stayed empty until this (newest) insertion.
-     */
-    void
-    undoInsert(Addr key)
-    {
-        ccnuma_assert(!store_.empty() && store_.back().first == key);
-        std::size_t i = probeStart(key);
-        while (table_[i].key != key)
-            i = (i + 1) & mask_;
-        table_[i] = Slot{};
-        store_.pop_back();
-    }
-
     /** Visit (key, value) pairs in insertion order. */
     template <typename F>
     void

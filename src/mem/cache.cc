@@ -62,12 +62,8 @@ SetAssocCache::findLine(Addr addr)
     CacheLine *line = lines_.data() + setIndex(addr) * assoc_;
     CacheLine *end = line + assoc_;
     for (; line != end; ++line) {
-        if (line->lineAddr == la) {
-            // Callers mutate the returned line in place; journal its
-            // pre-image so speculation can roll the mutation back.
-            jrec(line);
+        if (line->lineAddr == la)
             return line;
-        }
     }
     return nullptr;
 }
@@ -106,7 +102,6 @@ SetAssocCache::allocate(Addr addr, LineState st, Victim *victim)
         if (target->state == LineState::Modified)
             ++statDirtyEvictions;
     }
-    jrec(target);
     target->lineAddr = la;
     target->state = st;
     target->version = 0;
@@ -134,7 +129,6 @@ SetAssocCache::invalidateAll()
     // discarded still count as corrected, keeping the ledger closed.
     resolvePending();
     for (auto &line : lines_) {
-        jrec(&line);
         line.state = LineState::Invalid;
         line.lineAddr = kNoLineTag;
     }

@@ -13,13 +13,11 @@
 #define CCNUMA_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "verify/ecc.hh"
@@ -69,7 +67,7 @@ struct CacheLine
  * The cache does not move data; callers react to the returned victim
  * information (e.g. issue a writeback for a Modified victim).
  */
-class SetAssocCache : public Snapshottable
+class SetAssocCache
 {
   public:
     /** Description of a line displaced by allocate(). */
@@ -112,7 +110,6 @@ class SetAssocCache : public Snapshottable
     void
     touch(CacheLine *line)
     {
-        jrec(line);
         line->lastUse = ++useClock_;
     }
 
@@ -177,39 +174,6 @@ class SetAssocCache : public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing (undo journal; sim/snapshot.hh) ---
-
-    void specBegin() override { jlog_.arm(); }
-
-    std::shared_ptr<const void>
-    specSave(std::size_t &bytes) override
-    {
-        bytes += sizeof(Snap) +
-                 (jlog_.mark() - lastSaveMark_) * sizeof(JRec);
-        lastSaveMark_ = jlog_.mark();
-        return std::make_shared<Snap>(Snap{jlog_.mark(), useClock_});
-    }
-
-    void
-    specRestore(const void *snap) override
-    {
-        const Snap *s = static_cast<const Snap *>(snap);
-        jlog_.undoTo(s->mark, [this](const JRec &r) {
-            lines_[r.idx] = r.old;
-        });
-        useClock_ = s->useClock;
-        if (lastSaveMark_ > jlog_.mark())
-            lastSaveMark_ = jlog_.mark();
-    }
-
-    void
-    specCommit(const void *oldest) override
-    {
-        jlog_.trimBelow(static_cast<const Snap *>(oldest)->mark);
-    }
-
-    void specEnd() override { jlog_.disarm(); }
-
     stats::Scalar statEvictions{"evictions",
         "lines displaced by allocation"};
     stats::Scalar statDirtyEvictions{"dirty_evictions",
@@ -255,31 +219,6 @@ class SetAssocCache : public Snapshottable
     static std::uint64_t packWord(const CacheLine &l, unsigned w);
     static void unpackWord(CacheLine &l, unsigned w, std::uint64_t v);
 
-    /** Undo-journal pre-image: one line's prior contents. */
-    struct JRec
-    {
-        std::uint32_t idx;
-        CacheLine old;
-    };
-
-    /** Journal snapshot: a log position plus the LRU clock. */
-    struct Snap
-    {
-        std::size_t mark;
-        std::uint64_t useClock;
-    };
-
-    /** Record @p line's pre-image before a mutation (armed only). */
-    void
-    jrec(const CacheLine *line)
-    {
-        if (jlog_.armed()) {
-            jlog_.push(JRec{static_cast<std::uint32_t>(
-                                line - lines_.data()),
-                            *line});
-        }
-    }
-
     std::string name_;
     unsigned lineBytes_;
     unsigned assoc_;
@@ -287,8 +226,6 @@ class SetAssocCache : public Snapshottable
     unsigned lineShift_;
     mutable std::vector<CacheLine> lines_; ///< set-major
     std::uint64_t useClock_ = 0;
-    UndoLog<JRec> jlog_;
-    std::size_t lastSaveMark_ = 0;
     mutable std::vector<PendingCe> pendingCe_;
     mutable std::uint64_t eccCorrected_ = 0;
     stats::Group statGroup_;

@@ -14,12 +14,10 @@
 #define CCNUMA_MEM_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -44,7 +42,7 @@ struct MemoryParams
  * Bank-interleaved memory timing model. The bus asks it when a read's
  * data transfer can start; writes are posted.
  */
-class MemoryController : public Snapshottable
+class MemoryController
 {
   public:
     MemoryController(const std::string &name, const MemoryParams &p);
@@ -77,13 +75,6 @@ class MemoryController : public Snapshottable
     void
     setVersion(Addr line_addr, std::uint64_t v)
     {
-        if (jlog_.armed()) {
-            auto it = versions_.find(line_addr);
-            if (it != versions_.end())
-                jlog_.push(JRec{line_addr, false, it->second});
-            else
-                jlog_.push(JRec{line_addr, true, 0});
-        }
         versions_[line_addr] = v;
     }
 
@@ -98,45 +89,6 @@ class MemoryController : public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing ---
-    // The version map takes an undo journal (it grows with the
-    // workload's footprint); the bank timers are a handful of ticks
-    // and ride in the snapshot by value.
-
-    void specBegin() override { jlog_.arm(); }
-
-    std::shared_ptr<const void>
-    specSave(std::size_t &bytes) override
-    {
-        bytes += sizeof(Snap) + bankFreeAt_.size() * sizeof(Tick) +
-                 (jlog_.mark() - lastSaveMark_) * sizeof(JRec);
-        lastSaveMark_ = jlog_.mark();
-        return std::make_shared<Snap>(Snap{jlog_.mark(), bankFreeAt_});
-    }
-
-    void
-    specRestore(const void *snap) override
-    {
-        const Snap *s = static_cast<const Snap *>(snap);
-        jlog_.undoTo(s->mark, [this](const JRec &r) {
-            if (r.insert)
-                versions_.erase(r.key);
-            else
-                versions_[r.key] = r.old;
-        });
-        bankFreeAt_ = s->bankFreeAt;
-        if (lastSaveMark_ > jlog_.mark())
-            lastSaveMark_ = jlog_.mark();
-    }
-
-    void
-    specCommit(const void *oldest) override
-    {
-        jlog_.trimBelow(static_cast<const Snap *>(oldest)->mark);
-    }
-
-    void specEnd() override { jlog_.disarm(); }
-
     stats::Scalar statReads{"reads", "line reads serviced"};
     stats::Scalar statWrites{"writes", "line writes serviced"};
     stats::Average statBankWait{"bank_wait",
@@ -144,24 +96,6 @@ class MemoryController : public Snapshottable
 
   private:
     std::size_t bankIndex(Addr line_addr) const;
-
-    /** Pre-image of one version-map mutation. */
-    struct JRec
-    {
-        Addr key;
-        bool insert;
-        std::uint64_t old;
-    };
-
-    /** Journal position plus the (tiny) bank timer array. */
-    struct Snap
-    {
-        std::size_t mark;
-        std::vector<Tick> bankFreeAt;
-    };
-
-    UndoLog<JRec> jlog_;
-    std::size_t lastSaveMark_ = 0;
 
     MemoryParams params_;
     unsigned lineShift_;

@@ -114,85 +114,6 @@ Network::drainMailboxes()
     }
 }
 
-bool
-Network::mailboxesEmpty() const
-{
-    for (const auto &box : mailboxes_) {
-        if (!box.empty())
-            return false;
-    }
-    return true;
-}
-
-Tick
-Network::mailboxMinArrival() const
-{
-    Tick m = maxTick;
-    for (const auto &box : mailboxes_) {
-        for (const MailboxEntry &e : box)
-            m = std::min(m, e.when);
-    }
-    return m;
-}
-
-std::uint64_t
-Network::squashSends(unsigned src_shard, Tick from_tick)
-{
-    auto &box = mailboxes_[src_shard];
-    auto keep = std::remove_if(
-        box.begin(), box.end(), [from_tick](const MailboxEntry &e) {
-            return e.schedTick >= from_tick;
-        });
-    auto n = static_cast<std::uint64_t>(box.end() - keep);
-    box.erase(keep, box.end());
-    return n;
-}
-
-void
-Network::drainMailboxesCommitted(Tick send_bound)
-{
-    for (auto &box : mailboxes_) {
-        std::size_t kept = 0;
-        for (MailboxEntry &e : box) {
-            if (e.schedTick < send_bound) {
-                map_->of(e.dstNode).scheduleExternal(
-                    std::move(e.fn), e.when, Event::defaultPriority,
-                    e.name, e.schedTick, e.ctx, e.seq,
-                    map_->nodeCtx(e.dstNode));
-            } else {
-                box[kept++] = std::move(e);
-            }
-        }
-        box.resize(kept);
-    }
-}
-
-std::shared_ptr<const void>
-Network::specSaveShard(unsigned shard, std::size_t &bytes)
-{
-    auto s = std::make_shared<ShardSnap>();
-    for (NodeId n = 0; n < static_cast<NodeId>(src_.size()); ++n) {
-        if (map_->shardOf(n) != shard)
-            continue;
-        s->src.emplace_back(n, src_[n]);
-        s->dst.emplace_back(n, dst_[n]);
-        bytes += sizeof(SrcPod) + sizeof(DstPod) +
-                 src_[n].pairLastArrive.size() * sizeof(Tick);
-    }
-    return s;
-}
-
-void
-Network::specRestoreShard(unsigned shard, const void *snap)
-{
-    (void)shard;
-    const ShardSnap *s = static_cast<const ShardSnap *>(snap);
-    for (const auto &[n, pod] : s->src)
-        src_[n] = pod;
-    for (const auto &[n, pod] : s->dst)
-        dst_[n] = pod;
-}
-
 void
 Network::setTracers(const std::vector<obs::Tracer *> &per_node)
 {

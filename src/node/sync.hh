@@ -18,8 +18,8 @@
  * sleeping waiter — and the grant event carries an explicit
  * deterministic key from the sync manager's own context. Deferral is
  * also what makes the manager shardable: operations performed during
- * a conservative window are recorded per shard and processed at the
- * window barrier in (event key) merge order, which is exactly the
+ * a window are recorded per shard and processed at the window
+ * barrier in (event key) merge order, which is exactly the
  * order the serial path processes them inline, so grant timing and
  * sequence numbers are bit-identical in both modes.
  */
@@ -66,8 +66,8 @@ class SyncManager
      * Adaptive-window support: have every recorded operation clamp
      * the posting queue's window stop to op.tick + handoffTicks (the
      * earliest its own grant could land back on that queue). Under
-     * conservative lock-step windows the clamp is a provable no-op,
-     * so it stays off and the hot path skips it.
+     * lock-step windows the clamp is a provable no-op, so it stays
+     * off and the hot path skips it.
      */
     void setAdaptiveWindows(bool on) { adaptiveWindows_ = on; }
 
@@ -131,7 +131,7 @@ class SyncManager
      * to op.tick + handoffTicks, since its grant can wake a processor
      * whose next sync operation would sort before a later buffered
      * one. The unprocessed suffix is deferred to a later barrier.
-     * With the default safe = maxTick (conservative windows, where
+     * With the default safe = maxTick (lock-step windows, where
      * every shard reached the same end) everything is processed, so
      * behavior is exactly the PR 5 merge.
      */
@@ -149,40 +149,6 @@ class SyncManager
      * by this, so no shard can outrun a deferred operation's effects.
      */
     Tick pendingMinWhen() const;
-
-    // --- speculative (Time-Warp) sharding support ---
-
-    /**
-     * Earliest event key tick among *all* buffered operations,
-     * recorded logs included (maxTick when none). The speculative
-     * frontier caps itself at this plus handoffTicks: an unprocessed
-     * operation's earliest effect is its own grant.
-     */
-    Tick recordedMinWhen() const;
-
-    /**
-     * Anti-messages: drop every operation @p shard's record log holds
-     * with op.tick at or after @p from_tick — the rollback squashes
-     * the execution segment that posted them (the log holds exactly
-     * the posts since the last barrier). Operations already merged
-     * into the deferred list are committed and never squashed.
-     * @return operations cancelled.
-     */
-    std::uint64_t squashFrom(unsigned shard, Tick from_tick);
-
-    /**
-     * Straggler hook on the deferred grant path: runs with the
-     * grant's destination node and firing tick immediately before
-     * the grant is scheduled. The speculative machine rolls the
-     * destination shard back when the grant would land in its past;
-     * the grant is then scheduled after the restore, so it is never
-     * lost. Null (the default) costs one branch per grant.
-     */
-    void
-    setPreGrantHook(std::function<void(NodeId, Tick)> hook)
-    {
-        preGrantHook_ = std::move(hook);
-    }
 
     stats::Group &statGroup() { return statGroup_; }
 
@@ -252,7 +218,6 @@ class SyncManager
     Tick handoffTicks_ = 16;
     bool adaptiveWindows_ = false;
     bool forceDefer_ = false;
-    std::function<void(NodeId, Tick)> preGrantHook_;
     /** Per-context grant sequence (advances in processing order). */
     std::uint64_t syncSeq_ = 0;
     /** Per-shard operation logs (sharded mode only). */

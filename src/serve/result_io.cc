@@ -14,7 +14,7 @@ namespace serve
 // round-trip test in tests/serve/test_result_cache.cc) fails the
 // build instead of silently dropping data from cached results.
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(RunResult) == 576,
+static_assert(sizeof(RunResult) == 472,
               "RunResult changed: update result_io round-trip");
 #endif
 
@@ -83,17 +83,10 @@ writeRunResult(report::JsonWriter &j, const RunResult &r)
     j.key("shardsUsed")
         .value(static_cast<std::uint64_t>(r.shardsUsed));
     j.key("shardFallback").value(r.shardFallback);
-    j.key("windowPolicy").value(r.windowPolicy);
     j.key("windowsRun").value(r.windowsRun);
     j.key("windowsWidened").value(r.windowsWidened);
     j.key("windowFallbacks").value(r.windowFallbacks);
     j.key("syncWindowStops").value(r.syncWindowStops);
-    j.key("windowPolicyFallback").value(r.windowPolicyFallback);
-    j.key("rollbacks").value(r.rollbacks);
-    j.key("antiMessages").value(r.antiMessages);
-    j.key("squashedEvents").value(r.squashedEvents);
-    j.key("checkpointBytes").value(r.checkpointBytes);
-    j.key("gvtSweeps").value(r.gvtSweeps);
     j.endObject();
 }
 
@@ -128,17 +121,10 @@ resultFromJson(const JsonValue &v)
         static_cast<unsigned>(v.getU64("shardsRequested", 1));
     r.shardsUsed = static_cast<unsigned>(v.getU64("shardsUsed", 1));
     r.shardFallback = v.getString("shardFallback", "");
-    r.windowPolicy = v.getString("windowPolicy", "");
     r.windowsRun = v.getU64("windowsRun", 0);
     r.windowsWidened = v.getU64("windowsWidened", 0);
     r.windowFallbacks = v.getU64("windowFallbacks", 0);
     r.syncWindowStops = v.getU64("syncWindowStops", 0);
-    r.windowPolicyFallback = v.getString("windowPolicyFallback", "");
-    r.rollbacks = v.getU64("rollbacks", 0);
-    r.antiMessages = v.getU64("antiMessages", 0);
-    r.squashedEvents = v.getU64("squashedEvents", 0);
-    r.checkpointBytes = v.getU64("checkpointBytes", 0);
-    r.gvtSweeps = v.getU64("gvtSweeps", 0);
     return r;
 }
 
@@ -152,12 +138,10 @@ bool
 resultsIdentical(const RunResult &a, const RunResult &b)
 {
     // Execution-strategy metadata (shardsRequested/shardsUsed/
-    // shardFallback, the PR 9 windowPolicy/window counters, and the
-    // PR 10 speculative rollback/anti-message/checkpoint counters) is
-    // excluded: the cache key deliberately ignores the shard count
-    // and window policy (sharded runs are bit-identical to serial
-    // either way), so a hit may legitimately report the scheduler
-    // layout of the run that populated it.
+    // shardFallback and the window counters) is excluded: the cache
+    // key deliberately ignores the shard count (sharded runs are
+    // bit-identical to serial), so a hit may legitimately report the
+    // scheduler layout of the run that populated it.
     if (a.workload != b.workload || a.arch != b.arch)
         return false;
 #define C_U64(f)                                                      \

@@ -586,178 +586,4 @@ EventQueue::runUntil(const std::function<bool()> &done, Tick limit)
     return runUntilFast([&done] { return done(); }, limit);
 }
 
-std::shared_ptr<const EventQueue::QueueSnap>
-EventQueue::specSave(std::size_t &bytes)
-{
-    auto snap = std::make_shared<QueueSnap>();
-    snap->recs.reserve(static_cast<std::size_t>(pending_));
-    auto capture = [&](Event *ev) {
-        QueueSnap::Rec rec;
-        if (ev->pooled_) {
-            PoolEvent *pe = static_cast<PoolEvent *>(ev);
-            if (!pe->cb_.copyable()) {
-                panic("speculative checkpoint: pending one-shot '%s' "
-                      "has a non-copyable capture", pe->name());
-            }
-            rec.cb = std::make_unique<SmallCallback>();
-            pe->cb_.copyTo(*rec.cb);
-            rec.name = pe->name_;
-            bytes += sizeof(SmallCallback);
-        } else {
-            rec.member = ev;
-        }
-        rec.when = ev->when_;
-        rec.schedTick = ev->schedTick_;
-        rec.seq = ev->seq_;
-        rec.priority = ev->priority_;
-        rec.ctx = ev->ctx_;
-        rec.fireCtx = ev->fireCtx_;
-        snap->recs.push_back(std::move(rec));
-    };
-    for (unsigned w = 0; w < bitmapWords; ++w) {
-        std::uint64_t bits = bitmap_[w];
-        while (bits != 0) {
-            std::size_t idx = (std::size_t(w) << 6) +
-                              static_cast<std::size_t>(
-                                  std::countr_zero(bits));
-            bits &= bits - 1;
-            for (Event *ev = buckets_[idx].head; ev != nullptr;
-                 ev = ev->next_)
-                capture(ev);
-        }
-    }
-    for (Event *head : epochs_) {
-        for (Event *ev = head; ev != nullptr; ev = ev->next_)
-            capture(ev);
-    }
-    for (Event *ev = farHead_; ev != nullptr; ev = ev->next_)
-        capture(ev);
-    snap->ctxSeq = ctxSeq_;
-    snap->curTick = curTick_;
-    snap->processed = processed_;
-    snap->ledgerEpoch = ++specEpoch_;
-    bytes += sizeof(QueueSnap) +
-             snap->recs.size() * sizeof(QueueSnap::Rec) +
-             snap->ctxSeq.size() * sizeof(std::uint64_t);
-    return snap;
-}
-
-void
-EventQueue::specClear()
-{
-    auto drop = [this](Event *ev) {
-        ev->scheduled_ = false;
-        ev->queue_ = nullptr;
-        ev->prev_ = nullptr;
-        ev->next_ = nullptr;
-        if (ev->pooled_)
-            releasePoolEvent(static_cast<PoolEvent *>(ev));
-    };
-    for (unsigned w = 0; w < bitmapWords; ++w) {
-        std::uint64_t bits = bitmap_[w];
-        bitmap_[w] = 0;
-        while (bits != 0) {
-            std::size_t idx = (std::size_t(w) << 6) +
-                              static_cast<std::size_t>(
-                                  std::countr_zero(bits));
-            bits &= bits - 1;
-            Bucket &b = buckets_[idx];
-            for (Event *ev = b.head; ev != nullptr;) {
-                Event *next = ev->next_;
-                drop(ev);
-                ev = next;
-            }
-            b.head = nullptr;
-            b.tail = nullptr;
-        }
-    }
-    for (Event *&head : epochs_) {
-        for (Event *ev = head; ev != nullptr;) {
-            Event *next = ev->next_;
-            drop(ev);
-            ev = next;
-        }
-        head = nullptr;
-    }
-    for (Event *ev = farHead_; ev != nullptr;) {
-        Event *next = ev->next_;
-        drop(ev);
-        ev = next;
-    }
-    farHead_ = nullptr;
-    nearCount_ = 0;
-    overflowCount_ = 0;
-    farCount_ = 0;
-    farMinLB_ = maxTick;
-    farMinExact_ = true;
-    overflowMinLB_ = maxTick;
-    overflowMinExact_ = true;
-    pending_ = 0;
-}
-
-void
-EventQueue::specRestore(const QueueSnap &s)
-{
-    specClear();
-    curTick_ = s.curTick;
-    wheelBase_ = s.curTick & ~wheelMask;
-    ctxSeq_ = s.ctxSeq;
-    processed_ = s.processed;
-    windowStop_ = maxTick;
-    auto place = [this](Event *ev, const QueueSnap::Rec &rec) {
-        ev->schedTick_ = rec.schedTick;
-        ev->seq_ = rec.seq;
-        ev->priority_ = rec.priority;
-        ev->ctx_ = rec.ctx;
-        ev->fireCtx_ = rec.fireCtx;
-        insertScheduled(ev, rec.when);
-    };
-    for (const QueueSnap::Rec &rec : s.recs) {
-        if (rec.member != nullptr) {
-            place(rec.member, rec);
-        } else {
-            PoolEvent *pe = acquirePoolEvent();
-            rec.cb->copyTo(pe->cb_);
-            pe->name_ = rec.name;
-            place(pe, rec);
-        }
-    }
-    // Injections committed after this snapshot was taken (mailbox
-    // deliveries, sync grants from later barriers) are not in the
-    // snapshot but must survive the rollback: replay them from the
-    // ledger. Recording is suppressed — they are already recorded.
-    const bool wasOn = ledgerOn_;
-    ledgerOn_ = false;
-    for (const LedgerEntry &e : ledger_) {
-        if (e.epoch < s.ledgerEpoch)
-            continue;
-        scheduleExternal(std::function<void()>(e.fn), e.when,
-                         e.priority, e.name, e.schedTick, e.ctx,
-                         e.seq, e.fireCtx);
-    }
-    ledgerOn_ = wasOn;
-}
-
-void
-EventQueue::specLedgerGC(Tick f)
-{
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < ledger_.size(); ++i) {
-        if (ledger_[i].when >= f) {
-            if (keep != i)
-                ledger_[keep] = std::move(ledger_[i]);
-            ++keep;
-        }
-    }
-    ledger_.resize(keep);
-}
-
-void
-EventQueue::specSessionEnd()
-{
-    ledger_.clear();
-    ledger_.shrink_to_fit();
-    ledgerOn_ = false;
-}
-
 } // namespace ccnuma

@@ -182,11 +182,6 @@ class SmallCallback
             destroy_ = [](void *p) { delete static_cast<Fn *>(p); };
             heap = true;
         }
-        if constexpr (std::is_copy_constructible_v<Fn>) {
-            copy_ = [](const void *src, SmallCallback &dst) {
-                dst.emplace(*static_cast<const Fn *>(src));
-            };
-        }
         return heap;
     }
 
@@ -204,30 +199,12 @@ class SmallCallback
             destroy_(heap_ ? heap_ : static_cast<void *>(buf_));
         invoke_ = nullptr;
         destroy_ = nullptr;
-        copy_ = nullptr;
         heap_ = nullptr;
-    }
-
-    /**
-     * Whether the stored callable can be duplicated. Speculative
-     * checkpoints copy every pending one-shot's pre-fire bytes, so
-     * hot-path captures must stay copy-constructible; the speculative
-     * scheduler asserts this per event rather than silently skipping.
-     */
-    bool copyable() const { return invoke_ == nullptr || copy_ != nullptr; }
-
-    /** Duplicate the stored callable into @p dst (empty). */
-    void
-    copyTo(SmallCallback &dst) const
-    {
-        ccnuma_assert(invoke_ != nullptr && copy_ != nullptr);
-        copy_(heap_ ? heap_ : static_cast<const void *>(buf_), dst);
     }
 
   private:
     void (*invoke_)(void *) = nullptr;
     void (*destroy_)(void *) = nullptr;
-    void (*copy_)(const void *, SmallCallback &) = nullptr;
     void *heap_ = nullptr;
     alignas(std::max_align_t) unsigned char buf_[inlineBytes];
 };
@@ -404,21 +381,6 @@ class EventQueue
         ev->ctx_ = ctx;
         ev->seq_ = seq;
         ev->fireCtx_ = fire_ctx;
-        if (ledgerOn_) {
-            // Committed-injection ledger (speculative shards): barrier
-            // deliveries must survive a later rollback below their
-            // injection point, so a copy is kept until the frontier
-            // passes them. All barrier-time injectors use copyable
-            // callables (std::function mailbox entries, sync grants).
-            if constexpr (std::is_copy_constructible_v<std::decay_t<F>>) {
-                ledger_.push_back(LedgerEntry{
-                    specEpoch_, std::function<void()>(fn), name, when,
-                    sched_tick, seq, priority, ctx, fire_ctx});
-            } else {
-                panic("non-copyable callable injected while the "
-                      "speculation ledger is recording");
-            }
-        }
         try {
             insertScheduled(ev, when);
         } catch (...) {
@@ -536,59 +498,6 @@ class EventQueue
         }
         return true;
     }
-
-    // --- speculative (Time-Warp) checkpoint support ---
-
-    /**
-     * Value snapshot of the queue's pending set and key counters.
-     * Pooled one-shots are captured as pre-fire callback copies;
-     * caller-owned member events are captured by pointer plus key
-     * fields (their owners snapshot their own state separately).
-     */
-    struct QueueSnap
-    {
-        struct Rec
-        {
-            Event *member = nullptr;
-            std::unique_ptr<SmallCallback> cb;
-            const char *name = "one-shot";
-            Tick when = 0;
-            Tick schedTick = 0;
-            std::uint64_t seq = 0;
-            int priority = 0;
-            std::uint32_t ctx = 0;
-            std::uint32_t fireCtx = 0;
-        };
-        std::vector<Rec> recs;
-        std::vector<std::uint64_t> ctxSeq;
-        Tick curTick = 0;
-        std::uint64_t processed = 0;
-        /** Ledger entries with epoch >= this replay on restore. */
-        std::uint64_t ledgerEpoch = 0;
-    };
-
-    /**
-     * While on, scheduleExternal() keeps a replayable copy of every
-     * injection (the committed-injection ledger). The speculative
-     * barrier turns this on around mailbox drains and sync grants.
-     */
-    void specLedgerRecording(bool on) { ledgerOn_ = on; }
-
-    /** Capture the pending set; @p bytes += approximate footprint. */
-    std::shared_ptr<const QueueSnap> specSave(std::size_t &bytes);
-
-    /**
-     * Roll the queue back to @p s: wipe the pending set, reinsert the
-     * snapshot's events (pooled ones from fresh callback copies), and
-     * re-inject every ledger entry recorded after the snapshot.
-     */
-    void specRestore(const QueueSnap &s);
-
-    /** Drop ledger entries committed by the frontier (when < f). */
-    void specLedgerGC(Tick f);
-
-    /** End of the speculative session: drop the ledger outright. */
-    void specSessionEnd();
 
     // --- wheel geometry (exposed for tests/benches) ---
     // 1024 one-tick buckets: every hot latency constant in the
@@ -756,28 +665,6 @@ class EventQueue
     /** Pool of one-shot events: slab chunks + intrusive free list. */
     std::vector<std::unique_ptr<PoolEvent[]>> slabs_;
     PoolEvent *freeList_ = nullptr;
-
-    /** One committed-injection ledger record (see specLedgerRecording). */
-    struct LedgerEntry
-    {
-        std::uint64_t epoch;
-        std::function<void()> fn;
-        const char *name;
-        Tick when;
-        Tick schedTick;
-        std::uint64_t seq;
-        int priority;
-        std::uint32_t ctx;
-        std::uint32_t fireCtx;
-    };
-
-    /** Unlink every pending event (pooled ones return to the pool). */
-    void specClear();
-
-    std::vector<LedgerEntry> ledger_;
-    bool ledgerOn_ = false;
-    /** Monotone snapshot counter tagging ledger entries. */
-    std::uint64_t specEpoch_ = 0;
 };
 
 } // namespace ccnuma

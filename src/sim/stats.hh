@@ -43,17 +43,6 @@ class Stat
     virtual void print(std::ostream &os,
                        const std::string &prefix) const = 0;
 
-    /**
-     * Flatten the statistic's raw accumulators onto @p out, and the
-     * inverse. Speculative (Time-Warp) shards checkpoint every stat a
-     * shard can touch and roll it back on straggler-triggered squash,
-     * so the final report stays bit-identical to a serial run.
-     */
-    virtual void appendValues(std::vector<double> &out) const = 0;
-    /** Restore from values written by appendValues; advances @p pos. */
-    virtual void restoreValues(const std::vector<double> &v,
-                               std::size_t &pos) = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -77,19 +66,6 @@ class Scalar : public Stat
     void reset() override { value_ = 0.0; }
     void print(std::ostream &os,
                const std::string &prefix) const override;
-
-    void
-    appendValues(std::vector<double> &out) const override
-    {
-        out.push_back(value_);
-    }
-
-    void
-    restoreValues(const std::vector<double> &v,
-                  std::size_t &pos) override
-    {
-        value_ = v[pos++];
-    }
 
   private:
     double value_ = 0.0;
@@ -134,25 +110,6 @@ class Average : public Stat
     void reset() override;
     void print(std::ostream &os,
                const std::string &prefix) const override;
-
-    void
-    appendValues(std::vector<double> &out) const override
-    {
-        out.push_back(sum_);
-        out.push_back(static_cast<double>(count_));
-        out.push_back(min_);
-        out.push_back(max_);
-    }
-
-    void
-    restoreValues(const std::vector<double> &v,
-                  std::size_t &pos) override
-    {
-        sum_ = v[pos++];
-        count_ = static_cast<std::uint64_t>(v[pos++]);
-        min_ = v[pos++];
-        max_ = v[pos++];
-    }
 
   private:
     double sum_ = 0.0;
@@ -232,27 +189,6 @@ class Distribution : public Stat
     void reset() override;
     void print(std::ostream &os,
                const std::string &prefix) const override;
-
-    void
-    appendValues(std::vector<double> &out) const override
-    {
-        avg_.appendValues(out);
-        out.push_back(static_cast<double>(underflow_));
-        out.push_back(static_cast<double>(overflow_));
-        for (std::uint64_t b : buckets_)
-            out.push_back(static_cast<double>(b));
-    }
-
-    void
-    restoreValues(const std::vector<double> &v,
-                  std::size_t &pos) override
-    {
-        avg_.restoreValues(v, pos);
-        underflow_ = static_cast<std::uint64_t>(v[pos++]);
-        overflow_ = static_cast<std::uint64_t>(v[pos++]);
-        for (std::uint64_t &b : buckets_)
-            b = static_cast<std::uint64_t>(v[pos++]);
-    }
 
   private:
     Average avg_{"", ""};

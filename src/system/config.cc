@@ -17,17 +17,6 @@ archName(Arch a)
     return "?";
 }
 
-const char *
-windowPolicyName(WindowPolicy p)
-{
-    switch (p) {
-      case WindowPolicy::Conservative: return "conservative";
-      case WindowPolicy::Adaptive: return "adaptive";
-      case WindowPolicy::Speculative: return "speculative";
-    }
-    return "?";
-}
-
 MachineConfig
 MachineConfig::base()
 {

@@ -31,45 +31,6 @@ enum class Arch
 
 const char *archName(Arch a);
 
-/**
- * How the sharded scheduler sizes its lookahead windows (PR 9).
- * Both policies are bit-identical to the serial scheduler — the
- * identity suite proves it — so this knob trades wall clock only and
- * is deliberately excluded from the canonical cache key, like the
- * shard count itself.
- */
-enum class WindowPolicy
-{
-    /**
-     * PR 5's lock-step windows: every shard runs the same
-     * [t0, t0 + lookahead) span, with t0 the global earliest event.
-     */
-    Conservative,
-    /**
-     * Per-shard windows bounded by the *other* shards' event
-     * horizons (plus any deferred sync operations): a shard whose
-     * peers are idle or far ahead runs a wide window and skips the
-     * barriers the conservative policy would have paid. Falls back
-     * to the conservative span the moment cross-shard traffic can
-     * exist. The default.
-     */
-    Adaptive,
-    /**
-     * Optimistic (Time-Warp) execution (PR 10): shards run past the
-     * conservative bound, checkpointing on a common grid every
-     * specCkptWindows lookahead windows; a straggler cross-shard
-     * message rolls its destination back to the last safe
-     * checkpoint, anti-messages cancel the squashed segment's
-     * unobserved sends, and a frontier (GVT) sweep reclaims
-     * committed checkpoints. Bit-identical to serial, like the
-     * other two policies; every rollback/anti-message/squashed
-     * event/checkpoint byte is counted in RunResult.
-     */
-    Speculative,
-};
-
-const char *windowPolicyName(WindowPolicy p);
-
 /** Full machine configuration. */
 struct MachineConfig
 {
@@ -96,34 +57,13 @@ struct MachineConfig
     /**
      * Event-queue shards for intra-machine parallel simulation
      * (PR 5). 1 = the classic serial scheduler; k > 1 partitions the
-     * nodes over k queues advanced in lock-step conservative
-     * windows, with results bit-identical to serial. numNodes must
-     * divide evenly. The CCNUMA_SHARDS environment variable
-     * overrides without a config change.
-     */
-    unsigned shards = 1;
-    /**
-     * Lookahead-window sizing for the sharded scheduler (PR 9);
-     * ignored when shards == 1. Bit-identical either way, so this is
-     * omitted from the canonical cache key alongside `shards`. The
-     * CCNUMA_WINDOW environment variable
-     * (conservative|adaptive|speculative) overrides without a config
+     * nodes over k queues advanced in adaptive windows (lock-step
+     * windows while the hang watchdog is armed), with results
+     * bit-identical to serial. numNodes must divide evenly. The
+     * CCNUMA_SHARDS environment variable overrides without a config
      * change.
      */
-    WindowPolicy windowPolicy = WindowPolicy::Adaptive;
-    /**
-     * Speculative horizon, in lookahead windows: each burst runs
-     * every shard K windows past its base before the rollback
-     * barrier. Larger values amortize barrier cost but deepen the
-     * work lost per rollback. CCNUMA_SPEC_HORIZON overrides.
-     */
-    unsigned specHorizonWindows = 8;
-    /**
-     * Checkpoint spacing, in lookahead windows; must divide
-     * specHorizonWindows so the grid lands on burst targets.
-     * CCNUMA_SPEC_CKPT overrides.
-     */
-    unsigned specCkptWindows = 2;
+    unsigned shards = 1;
     /**
      * Force the deferred (sharded-style) sync grant path in serial
      * runs, so a serial run can serve as a bit-identity oracle for

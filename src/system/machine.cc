@@ -1,13 +1,15 @@
 #include "system/machine.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "net/reliable.hh"
 #include "obs/tracer.hh"
-#include "sim/snapshot.hh"
 #include "recovery/recovery_manager.hh"
 #include "verify/checker.hh"
 #include "verify/fault_injector.hh"
@@ -16,6 +18,36 @@
 
 namespace ccnuma
 {
+
+namespace
+{
+
+/**
+ * Override @p value from environment knob @p name when it holds a
+ * positive decimal integer; anything else is warned about and leaves
+ * @p value unchanged.
+ */
+template <typename T>
+void
+envPositive(const char *name, T &value)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(env, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(env[0])) &&
+        *end == '\0' && errno == 0 && v >= 1 &&
+        v <= std::numeric_limits<T>::max()) {
+        value = static_cast<T>(v);
+        return;
+    }
+    warn("%s=%s not recognized (use a positive integer); keeping %llu",
+         name, env, static_cast<unsigned long long>(value));
+}
+
+} // namespace
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), map_(cfg.numNodes, cfg.pageBytes)
@@ -68,67 +100,10 @@ Machine::Machine(const MachineConfig &cfg)
         cfg_.node.cache.missTimeoutTicks =
             cfg_.recovery.missTimeoutTicks;
     }
-    // CCNUMA_SHARDS overrides the configured shard count.
-    if (const char *env = std::getenv("CCNUMA_SHARDS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            cfg_.shards = static_cast<unsigned>(v);
-        } else {
-            warn("CCNUMA_SHARDS=%s not recognized (use a positive "
-                 "integer); shard count stays %u", env, cfg_.shards);
-        }
-    }
-    // CCNUMA_WINDOW overrides the sharded window policy. Every
-    // policy is bit-identical; this is a wall-clock ablation knob.
-    if (const char *env = std::getenv("CCNUMA_WINDOW")) {
-        if (!std::strcmp(env, "conservative")) {
-            cfg_.windowPolicy = WindowPolicy::Conservative;
-        } else if (!std::strcmp(env, "adaptive")) {
-            cfg_.windowPolicy = WindowPolicy::Adaptive;
-        } else if (!std::strcmp(env, "speculative")) {
-            cfg_.windowPolicy = WindowPolicy::Speculative;
-        } else {
-            warn("CCNUMA_WINDOW=%s not recognized (use "
-                 "conservative|adaptive|speculative); policy stays %s",
-                 env, windowPolicyName(cfg_.windowPolicy));
-        }
-    }
-    // Speculative tuning knobs: burst horizon and checkpoint spacing,
-    // both in lookahead windows. Nonsense values are repaired with a
-    // warning rather than rejected, like the other env knobs.
-    if (const char *env = std::getenv("CCNUMA_SPEC_HORIZON")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            cfg_.specHorizonWindows = static_cast<unsigned>(v);
-        } else {
-            warn("CCNUMA_SPEC_HORIZON=%s not recognized (use a "
-                 "positive integer); horizon stays %u", env,
-                 cfg_.specHorizonWindows);
-        }
-    }
-    if (const char *env = std::getenv("CCNUMA_SPEC_CKPT")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            cfg_.specCkptWindows = static_cast<unsigned>(v);
-        } else {
-            warn("CCNUMA_SPEC_CKPT=%s not recognized (use a positive "
-                 "integer); spacing stays %u", env,
-                 cfg_.specCkptWindows);
-        }
-    }
-    if (cfg_.specHorizonWindows == 0)
-        cfg_.specHorizonWindows = 1;
-    if (cfg_.specCkptWindows == 0 ||
-        cfg_.specCkptWindows > cfg_.specHorizonWindows ||
-        cfg_.specHorizonWindows % cfg_.specCkptWindows != 0) {
-        warn("specCkptWindows=%u does not divide specHorizonWindows="
-             "%u; using a checkpoint every window",
-             cfg_.specCkptWindows, cfg_.specHorizonWindows);
-        cfg_.specCkptWindows = 1;
-    }
+    // CCNUMA_SHARDS overrides the configured shard count and
+    // CCNUMA_MAX_TICKS the run's tick limit.
+    envPositive("CCNUMA_SHARDS", cfg_.shards);
+    envPositive("CCNUMA_MAX_TICKS", cfg_.maxTicks);
     // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
     // grant path in serial runs, making a serial run a bit-identity
     // oracle for the sharded modes.
@@ -199,19 +174,19 @@ Machine::Machine(const MachineConfig &cfg)
                   "state (ECC words, line poisoning, processor "
                   "kills) synchronously at each flip event");
     }
-    // Conservative lookahead: no shard may outrun another by more
-    // than the earliest possible cross-node interaction — the
-    // network's minimum send-to-arrival gap (shrunk by any early
-    // delivery the fault tap may inject) or a sync grant hand-off,
-    // whichever is smaller.
+    // Lookahead: no shard may outrun another by more than the
+    // earliest possible cross-node interaction — the network's
+    // minimum send-to-arrival gap (shrunk by any early delivery the
+    // fault tap may inject) or a sync grant hand-off, whichever is
+    // smaller.
     Tick min_net = 2 * cfg_.net.portCycle + cfg_.net.flightLatency;
     long long w = static_cast<long long>(min_net) +
                   (injector_ ? injector_->minExtraDelay() : 0);
     w = std::min(w, static_cast<long long>(cfg_.syncHandoffTicks));
     if (w <= 0) {
-        fall_back("the conservative lookahead window is empty "
-                  "(network minimum latency, fault-tap early "
-                  "delivery, and sync hand-off leave no safe slack)");
+        fall_back("the lookahead window is empty (network minimum "
+                  "latency, fault-tap early delivery, and sync "
+                  "hand-off leave no safe slack)");
     }
     lookahead_ = cfg_.shards > 1 ? static_cast<Tick>(w) : 0;
 
@@ -399,110 +374,17 @@ Machine::Machine(const MachineConfig &cfg)
             [this](std::ostream &os) { dumpDiagnostics(os); });
     }
 
-    // Speculative (Time-Warp) bursts roll component state back on
-    // straggler cross-shard traffic, so every subsystem a shard can
-    // touch must be checkpointable. The ones that are not — the
-    // reliable transport's retransmission state, fault injection's
-    // RNG streams, crash recovery, the integrity managers, and the
-    // observability tracers — demote speculative to the adaptive
-    // policy; the hang watchdog demotes it to conservative (it polls
-    // only at lock-step barriers). Demotion is counted, never silent.
-    if (cfg_.windowPolicy == WindowPolicy::Speculative &&
-        shardMap_.sharded()) {
-        auto demote = [this](const char *why, WindowPolicy to) {
-            if (cfg_.windowPolicy != WindowPolicy::Speculative)
-                return;
-            warn("speculative windows disabled: %s; using the %s "
-                 "policy", why, windowPolicyName(to));
-            specFallback_ = why;
-            cfg_.windowPolicy = to;
-        };
-        if (watchdog_) {
-            demote("the hang watchdog polls at lock-step barriers",
-                   WindowPolicy::Conservative);
-        }
-        if (xport_) {
-            demote("the reliable transport's retransmission windows "
-                   "are not checkpointable", WindowPolicy::Adaptive);
-        }
-        if (injector_) {
-            demote("fault injection consumes RNG streams that a "
-                   "rollback cannot rewind", WindowPolicy::Adaptive);
-        }
-        if (recovery_ || integrity_) {
-            demote("the recovery/integrity managers mutate cross-node "
-                   "state outside the checkpointed set",
-                   WindowPolicy::Adaptive);
-        }
-        if (!tracers_.empty()) {
-            demote("the observability tracers' rings and open spans "
-                   "are not checkpointable", WindowPolicy::Adaptive);
-        }
-    }
-    specActive_ = shardMap_.sharded() &&
-                  cfg_.windowPolicy == WindowPolicy::Speculative;
     // Adaptive windows need every widening decision to be taken at a
     // barrier with all shards quiescent; the hang watchdog also polls
     // at barriers, and a shard running an arbitrarily wide window
-    // would starve it, so a watchdog pins the conservative policy.
-    adaptiveActive_ = shardMap_.sharded() &&
-                      cfg_.windowPolicy == WindowPolicy::Adaptive &&
-                      !watchdog_;
+    // would starve it, so a watchdog pins lock-step windows.
+    adaptiveActive_ = shardMap_.sharded() && !watchdog_;
     if (adaptiveActive_) {
         // A widened shard's clock may only outrun a peer when that
         // peer provably cannot act; its own sends and sync posts are
         // the loopholes, closed by these self-clamps (DESIGN.md §19).
         net_->setSendClampMargin(lookahead_);
         sync_->setAdaptiveWindows(true);
-    }
-    if (specActive_) {
-        // Per-shard checkpoint sets: everything a shard's events can
-        // mutate. The shard's event queue and its slice of the
-        // network's port pods are snapshotted separately (the queue
-        // by specSave, the pods by specSaveShard); the sync manager
-        // needs no snapshot — its barrier/lock state mutates only
-        // during committed single-threaded barrier processing.
-        specComps_.resize(shardMap_.numShards);
-        specStats_.resize(shardMap_.numShards);
-        for (auto &nd : nodes_) {
-            unsigned s = shardMap_.shardOf(nd->id());
-            auto &cs = specComps_[s];
-            cs.push_back(&nd->bus());
-            cs.push_back(&nd->memory());
-            cs.push_back(&nd->directory());
-            cs.push_back(&nd->cc());
-            auto &st = specStats_[s];
-            auto add_group = [&st](stats::Group &g) {
-                for (stats::Stat *x : g.stats())
-                    st.push_back(x);
-            };
-            add_group(nd->bus().statGroup());
-            add_group(nd->memory().statGroup());
-            add_group(nd->directory().statGroup());
-            add_group(nd->cc().statGroup());
-            for (unsigned i = 0; i < nd->numProcs(); ++i) {
-                cs.push_back(&nd->cacheUnit(i));
-                cs.push_back(&nd->proc(i));
-                add_group(nd->proc(i).statGroup());
-                add_group(nd->cacheUnit(i).statGroup());
-            }
-        }
-        // Straggler sentry on the deferred grant path. The burst
-        // frontier is capped at the earliest recorded sync
-        // operation's grant tick, so a grant can never land below a
-        // committed shard clock; this hook turns a violation of that
-        // proof into an immediate diagnostic instead of a downstream
-        // schedule-in-the-past panic.
-        sync_->setPreGrantHook([this](NodeId node, Tick when) {
-            EventQueue &q = shardMap_.of(node);
-            if (when < q.curTick()) {
-                panic("speculative barrier: sync grant for node %u "
-                      "lands at tick %llu, below its shard clock %llu"
-                      " — the frontier's sync cap was violated",
-                      node, (unsigned long long)when,
-                      (unsigned long long)q.curTick());
-            }
-        });
     }
 }
 
@@ -569,7 +451,8 @@ Machine::dumpDiagnostics(std::ostream &os)
     }
     if (shardMap_.sharded()) {
         os << ", lookahead window " << lookahead_ << " ticks, "
-           << windowPolicyName(windowPolicy()) << " policy";
+           << (adaptiveActive_ ? "adaptive" : "lock-step")
+           << " windows";
     }
     os << "\n";
     for (unsigned s = 0; s < queues_.size(); ++s) {
@@ -683,7 +566,7 @@ Machine::runWindows(const std::function<bool()> &done, Tick limit)
         if (t0 == maxTick || t0 > limit)
             return false;
         Tick end = limit < maxTick - 1 ? limit + 1 : maxTick;
-        Tick cons = end - t0 > lookahead_ ? t0 + lookahead_ : end;
+        Tick step = end - t0 > lookahead_ ? t0 + lookahead_ : end;
         ++windowsRun_;
         bool widened = false;
         if (adaptiveActive_) {
@@ -691,10 +574,10 @@ Machine::runWindows(const std::function<bool()> &done, Tick limit)
             // earliest event of any *other non-empty* shard — the
             // only peers able to originate cross-shard traffic this
             // window — nor the earliest deferred sync operation, by
-            // more than the conservative lookahead. An empty peer is
-            // provably quiet: mailboxes drain only at barriers, so it
-            // cannot act before the next planning step sees whatever
-            // woke it, and the sender's own self-clamps (network send,
+            // more than the lookahead. An empty peer is provably
+            // quiet: mailboxes drain only at barriers, so it cannot
+            // act before the next planning step sees whatever woke
+            // it, and the sender's own self-clamps (network send,
             // sync post) keep this shard's clock below any reply such
             // a wake could produce. A shard whose peers are all empty
             // therefore saturates to the run limit and executes at
@@ -708,19 +591,19 @@ Machine::runWindows(const std::function<bool()> &done, Tick limit)
                     if (o != s && nws[o] != maxTick)
                         bound = std::min(bound, nws[o]);
                 }
-                // No clamp up to the conservative end: a deferred
+                // No clamp up to the lock-step end: a deferred
                 // sync operation older than t0 must keep every
                 // window at or below its grant tick.
                 Tick t1 = bound >= end || end - bound <= lookahead_
                               ? end
                               : bound + lookahead_;
-                if (t1 > cons)
+                if (t1 > step)
                     widened = true;
                 ends[s] = t1;
             }
         } else {
             for (unsigned s = 0; s < S; ++s)
-                ends[s] = cons;
+                ends[s] = step;
         }
         if (widened)
             ++windowsWidened_;
@@ -742,8 +625,8 @@ Machine::windowBarrier(Tick window_end)
     // Adaptive windows ran different spans per shard, so only sync
     // operations every shard has provably passed may be processed
     // now; the rest stay deferred (they bound the next windows).
-    // Conservative windows all ended together: process everything,
-    // exactly the PR 5 merge.
+    // Lock-step windows (watchdog armed) all ended together, so
+    // everything is processed.
     Tick safe = maxTick;
     if (adaptiveActive_) {
         for (auto &q : queues_)
@@ -763,266 +646,6 @@ Machine::windowBarrier(Tick window_end)
     }
     if (watchdog_)
         watchdog_->poll(window_end - 1);
-}
-
-bool
-Machine::runSpeculative(const std::function<bool()> &done, Tick limit)
-{
-    const unsigned S = static_cast<unsigned>(queues_.size());
-    const Tick L = lookahead_;
-    const Tick P = static_cast<Tick>(cfg_.specCkptWindows) * L;
-    const unsigned max_segs =
-        cfg_.specHorizonWindows / cfg_.specCkptWindows;
-    const Tick handoff = cfg_.syncHandoffTicks;
-    const Tick max_target = limit < maxTick - 1 ? limit + 1 : maxTick;
-
-    /** One grid checkpoint of one shard. */
-    struct Ckpt
-    {
-        Tick tick = 0;
-        std::uint64_t processed = 0;
-        std::size_t bytes = 0;
-        std::shared_ptr<const EventQueue::QueueSnap> queue;
-        std::shared_ptr<const void> net;
-        std::vector<std::shared_ptr<const void>> comps;
-        std::vector<double> statVals;
-    };
-    std::vector<std::vector<Ckpt>> ckpts(S);
-
-    // Capture shard s at grid tick t. Runs on the shard's own team
-    // thread: everything touched (queue, owned network pods,
-    // components, stats) is shard-private during a burst, and the
-    // footprint is tallied into the shared counter only at the
-    // barrier (via Ckpt::bytes).
-    auto take = [&](unsigned s, Tick t) {
-        auto &list = ckpts[s];
-        Ckpt c;
-        c.tick = t;
-        c.processed = queues_[s]->numProcessed();
-        if (!list.empty() && list.back().processed == c.processed) {
-            // Idle segment: nothing ran since the previous grid
-            // point, so the state is unchanged — alias the previous
-            // snapshot's payloads instead of re-capturing them.
-            c.queue = list.back().queue;
-            c.net = list.back().net;
-            c.comps = list.back().comps;
-            c.statVals = list.back().statVals;
-            list.push_back(std::move(c));
-            return;
-        }
-        std::size_t bytes = 0;
-        c.queue = queues_[s]->specSave(bytes);
-        c.net = net_->specSaveShard(s, bytes);
-        c.comps.reserve(specComps_[s].size());
-        for (Snapshottable *comp : specComps_[s])
-            c.comps.push_back(comp->specSave(bytes));
-        for (stats::Stat *st : specStats_[s])
-            st->appendValues(c.statVals);
-        bytes += c.statVals.size() * sizeof(double);
-        c.bytes = bytes;
-        list.push_back(std::move(c));
-    };
-
-    // Roll shard s back to checkpoint c. The clock rewind is
-    // mandatory for *every* shard whenever the frontier stops short
-    // of the burst target — a committed grant or arrival may land in
-    // [F, target), which must not lie in any queue's past — so this
-    // runs even for shards that processed nothing past c (their
-    // pending set is then bit-identical and only the clock moves).
-    auto restore = [&](unsigned s, const Ckpt &c) {
-        queues_[s]->specRestore(*c.queue);
-        net_->specRestoreShard(s, c.net.get());
-        for (std::size_t i = 0; i < specComps_[s].size(); ++i)
-            specComps_[s][i]->specRestore(c.comps[i].get());
-        std::size_t pos = 0;
-        for (stats::Stat *st : specStats_[s])
-            st->restoreValues(c.statVals, pos);
-    };
-
-    // Account and drop the burst's checkpoints (every burst is
-    // self-contained: nothing survives its own barrier).
-    auto reclaim = [&] {
-        for (unsigned s = 0; s < S; ++s) {
-            for (const Ckpt &c : ckpts[s])
-                checkpointBytes_ += c.bytes;
-            ckpts[s].clear();
-        }
-    };
-
-    // One conservative window + barrier, for bursts where no grid
-    // point is committable (the sync horizon or the run limit lies
-    // nearer than the first checkpoint). The end stays short of the
-    // earliest deferred sync operation's grant so no grant can land
-    // in a shard's past; the burst-base bound (base <= deferredMin +
-    // handoff) keeps that end at or past base, and the barrier's
-    // horizon-limited sync processing guarantees progress even when
-    // the window itself is empty.
-    auto conservativeStep = [&](Tick base) {
-        Tick end = base + L < max_target ? base + L : max_target;
-        Tick dm = sync_->pendingMinWhen();
-        if (dm != maxTick && dm + handoff < end)
-            end = dm + handoff;
-        ++windowsRun_;
-        ++windowFallbacks_;
-        team_->run(
-            [this, end](unsigned s) { queues_[s]->runWindow(end); });
-        net_->drainMailboxes();
-        Tick safe = maxTick;
-        for (auto &q : queues_)
-            safe = std::min(safe, q->nextWhen());
-        sync_->processPending(safe);
-    };
-
-    while (!done()) {
-        // Burst-start invariant: every cross-shard arrival was either
-        // delivered (its send committed) or squashed (its sender
-        // rolled back) at the previous barrier.
-        ccnuma_assert(net_->mailboxesEmpty());
-        // The burst base is the earliest committable action anywhere:
-        // a pending event, or a buffered sync operation's grant.
-        Tick base = maxTick;
-        for (auto &q : queues_)
-            base = std::min(base, q->nextWhen());
-        Tick sm = sync_->recordedMinWhen();
-        if (sm != maxTick && sm + handoff < base)
-            base = sm + handoff;
-        if (base == maxTick || base > limit)
-            return false;
-
-        // Segment count: never speculate past the point where a
-        // buffered sync operation's grant could land (it caps the
-        // commit frontier regardless, so windows past it are wasted
-        // work), nor past the run limit. This pre-clamp is also what
-        // keeps the frontier at or above base + L below: with it, any
-        // sync cap admitting segs >= 1 is at least base + P.
-        unsigned segs = max_segs;
-        if (sm != maxTick) {
-            Tick cap = sm + handoff;
-            if (cap < base + P) {
-                segs = 0;
-            } else {
-                segs = std::min<unsigned>(
-                    segs,
-                    static_cast<unsigned>((cap - base + P - 1) / P));
-            }
-        }
-        if (max_target - base < P) {
-            segs = 0;
-        } else {
-            segs = std::min<unsigned>(
-                segs, static_cast<unsigned>((max_target - base) / P));
-        }
-        if (segs == 0) {
-            conservativeStep(base);
-            continue;
-        }
-        const Tick target = base + static_cast<Tick>(segs) * P;
-
-        // Optimistic phase: every shard runs segs checkpoint
-        // segments past the base with no cross-shard coordination.
-        // Cross-shard sends buffer in the network mailboxes and sync
-        // posts in the per-shard logs — both cancellable, so nothing
-        // speculative ever escapes the shard.
-        ++windowsRun_;
-        team_->run([&](unsigned s) {
-            take(s, base);
-            for (unsigned i = 1; i <= segs; ++i) {
-                queues_[s]->runWindow(base +
-                                      static_cast<Tick>(i) * P);
-                take(s, base + static_cast<Tick>(i) * P);
-            }
-        });
-
-        // Commit frontier: start from the burst target capped by the
-        // earliest buffered sync grant, then close under straggler
-        // arrivals — a buffered arrival sent below the frontier and
-        // arriving below it drags the frontier down to its arrival
-        // tick (its receiver must re-execute from there with the
-        // message present). Every send this burst has schedTick >=
-        // base and arrives at least a lookahead later, and the sync
-        // pre-clamp bounds the cap, so rawF >= base + L always.
-        Tick rawF = target;
-        sm = sync_->recordedMinWhen();
-        if (sm != maxTick && sm + handoff < rawF)
-            rawF = sm + handoff;
-        for (bool changed = true; changed;) {
-            changed = false;
-            net_->forEachMailboxEntry(
-                [&](unsigned, NodeId, Tick sched, Tick when) {
-                    if (sched < rawF && when < rawF) {
-                        rawF = when;
-                        changed = true;
-                    }
-                });
-        }
-        ccnuma_assert(rawF >= base + L);
-
-        // Committed frontier F: the highest checkpoint grid point at
-        // or below rawF (restores can only land on checkpoints).
-        const unsigned ci =
-            rawF >= target
-                ? segs
-                : static_cast<unsigned>((rawF - base) / P);
-        const Tick F = base + static_cast<Tick>(ci) * P;
-
-        if (ci == 0) {
-            // The frontier cleared no grid point (checkpoint spacing
-            // exceeds the lookahead and a straggler arrived early):
-            // squash the whole burst and take one conservative window
-            // instead — counted, never silent.
-            for (unsigned s = 0; s < S; ++s) {
-                std::uint64_t delta = queues_[s]->numProcessed() -
-                                      ckpts[s][0].processed;
-                restore(s, ckpts[s][0]);
-                if (delta) {
-                    squashedEvents_ += delta;
-                    ++rollbacks_;
-                    antiMessages_ += net_->squashSends(s, F);
-                    antiMessages_ += sync_->squashFrom(s, F);
-                }
-            }
-            ccnuma_assert(net_->mailboxesEmpty());
-            reclaim();
-            conservativeStep(base);
-            continue;
-        }
-
-        if (ci < segs) {
-            // Roll every shard back to its checkpoint at F and cancel
-            // the squashed segments' unobserved cross-shard sends and
-            // sync posts (anti-messages). Shards that processed
-            // nothing past F only rewind their clock; they made no
-            // squashable send, so the counters stay quiet.
-            for (unsigned s = 0; s < S; ++s) {
-                std::uint64_t delta = queues_[s]->numProcessed() -
-                                      ckpts[s][ci].processed;
-                restore(s, ckpts[s][ci]);
-                if (delta) {
-                    squashedEvents_ += delta;
-                    ++rollbacks_;
-                    antiMessages_ += net_->squashSends(s, F);
-                    antiMessages_ += sync_->squashFrom(s, F);
-                }
-            }
-        }
-        // Everything below F is final. Deliver the committed mail
-        // (after the squash every buffered send has schedTick < F,
-        // and the closure above guarantees it arrives at or past
-        // rawF >= F, i.e. in every shard's future), process committed
-        // sync operations under the same horizon, and let journaled
-        // stores drop their committed prefixes (the GVT sweep).
-        net_->drainMailboxesCommitted(F);
-        ccnuma_assert(net_->mailboxesEmpty());
-        sync_->processPending(F);
-        for (unsigned s = 0; s < S; ++s) {
-            for (std::size_t i = 0; i < specComps_[s].size(); ++i)
-                specComps_[s][i]->specCommit(
-                    ckpts[s][ci].comps[i].get());
-        }
-        ++gvtSweeps_;
-        reclaim();
-    }
-    return true;
 }
 
 void
@@ -1052,14 +675,7 @@ Machine::run(Workload &w, bool check)
         // Serial runs count completions through a plain variable: the
         // single-queue fast loop polls it every event, and an atomic
         // there is pure overhead.
-        if (specActive_) {
-            // A rollback past a completion would re-fire the callback
-            // on replay and double-count; the speculative loop polls
-            // the processors' finished flags instead — they are part
-            // of the checkpointed processor state, so at a burst
-            // boundary they reflect exactly the committed prefix.
-            p.setFinishedCallback([] {});
-        } else if (shardMap_.sharded()) {
+        if (shardMap_.sharded()) {
             p.setFinishedCallback([this] {
                 finishedProcs_.fetch_add(1,
                                          std::memory_order_release);
@@ -1077,29 +693,9 @@ Machine::run(Workload &w, bool check)
     for (auto &q : queues_)
         q->setContext(shardMap_.externalCtx());
 
-    Tick limit = cfg_.maxTicks;
-    if (const char *env = std::getenv("CCNUMA_MAX_TICKS"))
-        limit = std::strtoull(env, nullptr, 10);
-    if (specActive_) {
-        // Arm the journaled stores and tapes for the whole run; the
-        // burst loop takes and drops checkpoints inside this session.
-        for (auto &cs : specComps_) {
-            for (Snapshottable *c : cs)
-                c->specBegin();
-        }
-    }
+    const Tick limit = cfg_.maxTicks;
     bool done;
-    if (specActive_) {
-        done = runSpeculative(
-            [this, n] {
-                for (unsigned i = 0; i < n; ++i) {
-                    if (!proc(i).finished())
-                        return false;
-                }
-                return true;
-            },
-            limit);
-    } else if (shardMap_.sharded()) {
+    if (shardMap_.sharded()) {
         if (watchdog_)
             watchdog_->armPolled(0);
         done = runWindows(
@@ -1144,8 +740,6 @@ Machine::run(Workload &w, bool check)
         r.shardsRequested = shardsRequested_;
         r.shardsUsed = shardMap_.numShards;
         r.shardFallback = fallbackReason_;
-        r.windowPolicy = "serial";
-        r.windowPolicyFallback = specFallback_;
         fillRecoveryStats(r);
         if (!tracers_.empty()) {
             mergeTracers();
@@ -1176,26 +770,7 @@ Machine::run(Workload &w, bool check)
         exec = std::max(exec, proc(i).finishTick());
 
     // Drain in-flight protocol traffic (writeback acks etc.).
-    if (specActive_) {
-        runSpeculative(
-            [this] {
-                for (auto &q : queues_) {
-                    if (!q->empty())
-                        return false;
-                }
-                return net_->mailboxesEmpty() &&
-                       sync_->pendingEmpty();
-            },
-            now() + 10'000'000);
-        // The speculative session is over: drop journal storage,
-        // replay tapes, and the queues' injection ledgers.
-        for (auto &cs : specComps_) {
-            for (Snapshottable *c : cs)
-                c->specEnd();
-        }
-        for (auto &q : queues_)
-            q->specSessionEnd();
-    } else if (shardMap_.sharded()) {
+    if (shardMap_.sharded()) {
         runWindows(
             [this] {
                 for (auto &q : queues_) {
@@ -1264,20 +839,11 @@ Machine::run(Workload &w, bool check)
     r.shardsRequested = shardsRequested_;
     r.shardsUsed = shardMap_.numShards;
     r.shardFallback = fallbackReason_;
-    r.windowPolicy = shardMap_.sharded()
-                         ? windowPolicyName(windowPolicy())
-                         : "serial";
     r.windowsRun = windowsRun_;
     r.windowsWidened = windowsWidened_;
     r.windowFallbacks = windowFallbacks_;
     for (auto &q : queues_)
         r.syncWindowStops += q->windowClamps();
-    r.windowPolicyFallback = specFallback_;
-    r.rollbacks = rollbacks_;
-    r.antiMessages = antiMessages_;
-    r.squashedEvents = squashedEvents_;
-    r.checkpointBytes = checkpointBytes_;
-    r.gvtSweeps = gvtSweeps_;
     if (!tracers_.empty()) {
         mergeTracers();
         tracers_[0]->exportAll(now());

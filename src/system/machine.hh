@@ -29,7 +29,6 @@ class HangWatchdog;
 class IntegrityManager;
 class RecoveryManager;
 class ReliableTransport;
-class Snapshottable;
 
 namespace obs
 {
@@ -103,39 +102,18 @@ struct RunResult
     /** Non-empty iff the machine fell back to the serial scheduler. */
     std::string shardFallback;
 
-    // --- window-policy accounting (PR 9); like the shard counts,
+    // --- window accounting; like the shard counts,
     // execution-strategy metadata excluded from resultsIdentical().
     // Counters are zero when shardsUsed == 1. ---
-    /** "serial", "conservative", or "adaptive" (effective policy). */
-    std::string windowPolicy;
-    std::uint64_t windowsRun = 0;     ///< lock-step windows executed
-    /** Windows where at least one shard ran past the conservative
+    std::uint64_t windowsRun = 0;     ///< windows executed
+    /** Windows where at least one shard ran past the lock-step
      *  end (counted, never silent — same rule as shard fallbacks). */
     std::uint64_t windowsWidened = 0;
-    /** Adaptive windows forced back to the conservative floor by
-     *  cross-shard traffic or deferred sync operations. */
+    /** Adaptive windows held to the lock-step span by cross-shard
+     *  traffic or deferred sync operations. */
     std::uint64_t windowFallbacks = 0;
     /** Windows cut short early by a sync post's self-grant clamp. */
     std::uint64_t syncWindowStops = 0;
-
-    // --- speculative (Time-Warp) accounting (PR 10); zero unless the
-    // speculative policy ran. Execution-strategy metadata like the
-    // other window fields: excluded from resultsIdentical(), because
-    // speculative runs are bit-identical to serial in everything
-    // above this block. Counted, never silent. ---
-    /** Non-empty iff speculative was requested but demoted (and to
-     *  what the reason was); the effective policy is windowPolicy. */
-    std::string windowPolicyFallback;
-    /** Shard segments squashed by a straggler (rollback episodes). */
-    std::uint64_t rollbacks = 0;
-    /** Cross-shard sends and sync posts cancelled by rollbacks. */
-    std::uint64_t antiMessages = 0;
-    /** Events whose effects were undone and later re-executed. */
-    std::uint64_t squashedEvents = 0;
-    /** Total footprint of all checkpoints taken (bytes). */
-    std::uint64_t checkpointBytes = 0;
-    /** Frontier (GVT) commits: bursts whose prefix was reclaimed. */
-    std::uint64_t gvtSweeps = 0;
 
     double
     rccpi() const
@@ -175,23 +153,8 @@ class Machine : public MsgRouter
         return fallbackReason_;
     }
 
-    /** The conservative lookahead window (ticks; 0 when serial). */
+    /** The lock-step lookahead window (ticks; 0 when serial). */
     Tick lookahead() const { return lookahead_; }
-
-    /** The effective window policy (conservative under a watchdog). */
-    WindowPolicy windowPolicy() const
-    {
-        if (specActive_)
-            return WindowPolicy::Speculative;
-        return adaptiveActive_ ? WindowPolicy::Adaptive
-                               : WindowPolicy::Conservative;
-    }
-
-    /** Why speculative execution was demoted ("" if it was not). */
-    const std::string &specFallbackReason() const
-    {
-        return specFallback_;
-    }
 
     unsigned numNodes() const
     {
@@ -281,32 +244,19 @@ class Machine : public MsgRouter
     Tick now() const;
 
     /**
-     * Advance lock-step windows until @p done holds at a barrier,
-     * every queue drains, or the earliest pending event lies beyond
-     * @p limit. Conservative policy: every shard runs the same
-     * [t0, t0 + lookahead) span. Adaptive policy: each shard's end is
-     * bounded by the other shards' earliest events and any deferred
-     * sync operations, widening up to the limit when peers are
-     * provably quiet (see DESIGN.md §19 for the proof sketch).
+     * Advance windows until @p done holds at a barrier, every queue
+     * drains, or the earliest pending event lies beyond @p limit.
+     * Adaptive windows: each shard's end is bounded by the other
+     * shards' earliest events and any deferred sync operations,
+     * widening up to the limit when peers are provably quiet (see
+     * DESIGN.md §19 for the proof sketch). Under the hang watchdog
+     * every shard runs the same [t0, t0 + lookahead) span instead.
      * @return true iff @p done became true.
      */
     bool runWindows(const std::function<bool()> &done, Tick limit);
 
     /** Window-barrier bookkeeping (mailboxes, sync, tracing). */
     void windowBarrier(Tick window_end);
-
-    /**
-     * Speculative (Time-Warp) burst loop: every shard runs up to
-     * specHorizonWindows lookahead windows past the burst base,
-     * checkpointing on a common grid every specCkptWindows windows;
-     * the barrier computes the committable frontier F (straggler
-     * cross-shard arrivals and the earliest pending sync grant bound
-     * it), rolls every shard back to its checkpoint at F, cancels the
-     * squashed segments' unobserved sends (anti-messages), delivers
-     * the committed mail, and reclaims the burst's checkpoints. Same
-     * contract as runWindows; results are bit-identical to serial.
-     */
-    bool runSpeculative(const std::function<bool()> &done, Tick limit);
 
     /** Fold the sharded tracers into tracer 0 (no-op when serial). */
     void mergeTracers();
@@ -337,29 +287,12 @@ class Machine : public MsgRouter
     Tick lookahead_ = 0;
     unsigned shardsRequested_ = 1;
     std::string fallbackReason_;
-    /** Adaptive windows in effect (sharded, policy adaptive, and no
-     *  watchdog — the watchdog polls only at conservative barriers). */
+    /** Adaptive windows in effect (sharded and no watchdog — the
+     *  watchdog polls only at lock-step barriers). */
     bool adaptiveActive_ = false;
     std::uint64_t windowsRun_ = 0;
     std::uint64_t windowsWidened_ = 0;
     std::uint64_t windowFallbacks_ = 0;
-
-    // --- speculative (Time-Warp) execution (PR 10) ---
-    /** Speculative bursts in effect (sharded, policy speculative,
-     *  and none of the demoting subsystems armed). */
-    bool specActive_ = false;
-    /** Why speculative was demoted ("" if it was not). */
-    std::string specFallback_;
-    /** Per-shard checkpointable components (nodes' buses, memory and
-     *  directory controllers, CCs, cache units, processors). */
-    std::vector<std::vector<Snapshottable *>> specComps_;
-    /** Per-shard stats, flattened for checkpoint value snapshots. */
-    std::vector<std::vector<stats::Stat *>> specStats_;
-    std::uint64_t rollbacks_ = 0;
-    std::uint64_t antiMessages_ = 0;
-    std::uint64_t squashedEvents_ = 0;
-    std::uint64_t checkpointBytes_ = 0;
-    std::uint64_t gvtSweeps_ = 0;
 };
 
 } // namespace ccnuma

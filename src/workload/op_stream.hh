@@ -114,10 +114,7 @@ class OpStream
 
     OpStream(OpStream &&o) noexcept
         : handle_(std::exchange(o.handle_, nullptr)),
-          buf_(std::move(o.buf_)), idx_(std::exchange(o.idx_, 0)),
-          tape_(std::move(o.tape_)),
-          tapeBase_(std::exchange(o.tapeBase_, 0)),
-          tapeOn_(std::exchange(o.tapeOn_, false))
+          buf_(std::move(o.buf_)), idx_(std::exchange(o.idx_, 0))
     {}
 
     OpStream &
@@ -128,9 +125,6 @@ class OpStream
             handle_ = std::exchange(o.handle_, nullptr);
             buf_ = std::move(o.buf_);
             idx_ = std::exchange(o.idx_, 0);
-            tape_ = std::move(o.tape_);
-            tapeBase_ = std::exchange(o.tapeBase_, 0);
-            tapeOn_ = std::exchange(o.tapeOn_, false);
         }
         return *this;
     }
@@ -173,68 +167,13 @@ class OpStream
             out = (*buf_)[idx_++];
             return true;
         }
-        if (idx_ < tapeBase_ + tape_.size()) {
-            // Replaying after a speculative rewind: serve the tape.
-            out = tape_[idx_ - tapeBase_];
-            ++idx_;
-            return true;
-        }
         if (!handle_ || handle_.done())
             return false;
         handle_.resume();
         if (handle_.done())
             return false;
         out = handle_.promise().current;
-        if (tapeOn_)
-            tape_.push_back(out);
-        ++idx_;
         return true;
-    }
-
-    // --- speculative rewind support ---
-    //
-    // A coroutine cannot be copied, but it does not need to be: the
-    // stream contract above guarantees timing feedback only controls
-    // *when* next() is called, never what it returns. So speculation
-    // records served ops on a side tape and a rollback just rewinds
-    // the absolute cursor; replayed ops come from the tape until it
-    // catches back up to the coroutine.
-
-    /** Start recording served ops (idempotent). */
-    void specEnableTape() { tapeOn_ = true; }
-
-    /** Absolute count of ops served so far. */
-    std::size_t specCursor() const { return idx_; }
-
-    /** Roll back to an earlier cursor from specCursor(). */
-    void
-    specRewind(std::size_t cursor)
-    {
-        idx_ = cursor;
-    }
-
-    /** Ops before @p cursor are committed; drop their tape prefix. */
-    void
-    specCommitTape(std::size_t cursor)
-    {
-        if (buf_ || tape_.empty() || cursor <= tapeBase_)
-            return;
-        std::size_t n = cursor - tapeBase_;
-        if (n > tape_.size())
-            n = tape_.size();
-        tape_.erase(tape_.begin(),
-                    tape_.begin() + static_cast<std::ptrdiff_t>(n));
-        tapeBase_ += n;
-    }
-
-    /** Stop recording and drop the tape (end of speculation). */
-    void
-    specDisableTape()
-    {
-        tapeOn_ = false;
-        tapeBase_ += tape_.size();
-        tape_.clear();
-        tape_.shrink_to_fit();
     }
 
   private:
@@ -250,11 +189,8 @@ class OpStream
     std::coroutine_handle<promise_type> handle_;
     /** Replay source; when set, next() never touches the coroutine. */
     std::shared_ptr<const std::vector<ThreadOp>> buf_;
+    /** Next index into buf_. */
     std::size_t idx_ = 0;
-    /** Speculation tape: ops served while recording (see above). */
-    std::vector<ThreadOp> tape_;
-    std::size_t tapeBase_ = 0;
-    bool tapeOn_ = false;
 };
 
 } // namespace ccnuma

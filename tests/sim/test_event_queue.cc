@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -297,6 +299,51 @@ TEST(EventQueue, ThrowingOneShotDoesNotLeak)
     EXPECT_THROW(eq.run(), Boom);
     EXPECT_EQ(eq.numPending(), 0u);
     EXPECT_EQ(eq.numProcessed(), 1u);
+}
+
+TEST(EventQueue, MoveOnlyOneShotFiresOnceAndIsReleased)
+{
+    // A one-shot may own its state outright (the coherence engine
+    // hands an in-flight request to its bus and response events by
+    // unique_ptr). The capture must fire once, and be destroyed
+    // whether it fired or was still pending when the queue went
+    // away, in the inline buffer and on the heap alike.
+    struct Tracked
+    {
+        int *live;
+        explicit Tracked(int *l) : live(l) { ++*live; }
+        ~Tracked() { --*live; }
+    };
+    int live = 0;
+    int fired = 0;
+    {
+        EventQueue eq;
+        eq.scheduleFunction(
+            [t = std::make_unique<Tracked>(&live), &fired] {
+                EXPECT_NE(t, nullptr);
+                ++fired;
+            },
+            5);
+        std::array<char, SmallCallback::inlineBytes> pad{};
+        eq.scheduleFunction(
+            [t = std::make_unique<Tracked>(&live), pad, &fired] {
+                EXPECT_NE(t, nullptr);
+                fired += static_cast<int>(pad.size() > 0);
+            },
+            7);
+        EXPECT_EQ(eq.callbackHeapFallbacks(), 1u);
+        eq.scheduleFunction(
+            [t = std::make_unique<Tracked>(&live), &fired] { ++fired; },
+            100);
+        EXPECT_EQ(live, 3);
+
+        eq.run(50);
+        EXPECT_EQ(fired, 2);
+        EXPECT_EQ(live, 1); // only the still-pending capture
+        EXPECT_EQ(eq.numPending(), 1u);
+    }
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(live, 0);
 }
 
 } // namespace

@@ -22,29 +22,15 @@ serial-vs-sharded speedup must reach --min-speedup (default 1.5x).
 The timing checks are skipped (with a note) when the producing host
 had fewer hardware threads than requested shards — identity is still
 enforced by the bench itself, but the timing comparison is
-meaningless there. Three additions ride on the same summary table:
+meaningless there. Two additions ride on the same summary table:
 
   * the adaptive window counters (windows run / widened / fallbacks
     / sync window stops) must be PRESENT — a bench export without
     them means the planner silently stopped counting, which is
     itself a failure;
-  * the windowPolicy ablation: the adaptive-vs-conservative wall
-    ratio must stay below 1 + --max-adaptive-regression (default
-    0.20) — adaptive windows may never cost more than 20% over the
-    conservative barrier they claim to beat;
   * --min-speedup-adaptive N (default 0 = off) requires the overall
-    serial-vs-adaptive speedup to reach N on hosts with >= 8
-    hardware threads (the fig6 8-core target);
-  * the speculative (Time-Warp) window counters (bursts, rollbacks,
-    anti-messages, squashed events, gvt sweeps, rollback rate) must
-    be PRESENT, the grid may contain no silent speculative demotion,
-    and the rollback rate (fraction of shard-bursts squashed) must
-    stay below --max-rollback-rate (default 0.90) — a run that rolls
-    nearly everything back is doing conservative work with
-    checkpointing overhead on top;
-  * --min-speedup-speculative N (default 0 = off) requires the
-    overall serial-vs-speculative speedup to reach N on hosts with
-    >= 8 hardware threads.
+    serial-vs-sharded speedup to reach N on hosts with >= 8
+    hardware threads (the fig6 8-core target).
 
 A third machine-independent invariant gates the crash-recovery
 subsystem: pass --recovery BENCH_crash_campaign.json and every
@@ -85,9 +71,6 @@ Usage: bench_gate.py [BASELINE.json FRESH.json] [--threshold 0.20]
                      [--sharded BENCH_fig6_sharded.json]
                      [--min-speedup 1.5]
                      [--min-speedup-adaptive 0]
-                     [--max-adaptive-regression 0.20]
-                     [--min-speedup-speculative 0]
-                     [--max-rollback-rate 0.90]
                      [--replay-served BENCH_fig6_base.json]
                      [--recovery BENCH_crash_campaign.json]
                      [--max-rebuild-ticks 50000]
@@ -129,9 +112,7 @@ def sharded_summary(path):
     return None
 
 
-def check_sharded(path, min_speedup, min_speedup_adaptive,
-                  max_adaptive_regression, min_speedup_speculative,
-                  max_rollback_rate, failures):
+def check_sharded(path, min_speedup, min_speedup_adaptive, failures):
     summary = sharded_summary(path)
     if summary is None:
         failures.append(f"{path}: no 'speedup summary' table")
@@ -157,39 +138,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
         else:
             counters[key] = int(summary[key])
 
-    # The speculative engine must count its behavior too, and no
-    # point on this grid may demote away from speculation silently.
-    spec = {}
-    for key in ("speculative demotions", "speculative bursts",
-                "rollbacks", "anti-messages", "squashed events",
-                "gvt sweeps", "rollback rate"):
-        if key not in summary:
-            failures.append(
-                f"sharded fig6: summary lacks the '{key}' counter "
-                "(speculative window behavior must be counted, "
-                "never silent)")
-        else:
-            spec[key] = summary[key]
-    if int(spec.get("speculative demotions", 0)) != 0:
-        failures.append(
-            f"sharded fig6: {spec['speculative demotions']} point(s) "
-            "demoted away from speculative windows on a grid with "
-            "nothing un-checkpointable")
-    if "rollback rate" in spec:
-        rate = float(spec["rollback rate"])
-        print(f"  speculative rollback rate {rate:.4f} "
-              f"(require <= {max_rollback_rate:.2f})")
-        if rate > max_rollback_rate:
-            failures.append(
-                f"speculative rollback rate {rate:.4f} exceeds "
-                f"{max_rollback_rate:.2f}: nearly every shard-burst "
-                "is squashed, so speculation is pure overhead")
-        if int(spec.get("speculative bursts", 0)) > 0 and \
-                int(spec.get("gvt sweeps", -1)) == 0:
-            failures.append(
-                "speculative bursts ran but no GVT sweep committed; "
-                "the commit path never engaged")
-
     shards = int(summary.get("shards requested", 0))
     hw = int(summary.get("hardware threads", 0))
     speedup = float(summary.get("overall speedup", 0.0))
@@ -212,21 +160,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
             f"sharded scheduler only {speedup:.2f}x serial "
             f"(expected >= {min_speedup:.2f}x on {hw} threads)")
 
-    ablation = summary.get("adaptive vs conservative wall")
-    if ablation is None:
-        failures.append(
-            "sharded fig6: summary lacks the 'adaptive vs "
-            "conservative wall' ablation column")
-    else:
-        ablation = float(ablation)
-        limit = 1.0 + max_adaptive_regression
-        print(f"  adaptive/conservative wall {ablation:.3f} "
-              f"(require <= {limit:.2f})")
-        if ablation > limit:
-            failures.append(
-                f"adaptive windows cost {ablation:.3f}x the "
-                f"conservative barrier (ceiling {limit:.2f}x)")
-
     if min_speedup_adaptive > 0:
         if hw >= 8:
             print(f"  adaptive speedup {speedup:.2f} "
@@ -239,27 +172,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
                     f"{min_speedup_adaptive:.2f}x on {hw} threads)")
         else:
             print("  (adaptive speedup floor skipped: host has "
-                  f"{hw} < 8 hardware threads)")
-
-    if min_speedup_speculative > 0:
-        spec_speedup = summary.get("speculative speedup")
-        if spec_speedup is None:
-            failures.append(
-                "sharded fig6: summary lacks the 'speculative "
-                "speedup' column")
-        elif hw >= 8:
-            spec_speedup = float(spec_speedup)
-            print(f"  speculative speedup {spec_speedup:.2f} "
-                  f"(require >= {min_speedup_speculative:.2f} on "
-                  f"{hw} threads)")
-            if spec_speedup < min_speedup_speculative:
-                failures.append(
-                    f"speculative sharded speedup only "
-                    f"{spec_speedup:.2f}x serial (expected >= "
-                    f"{min_speedup_speculative:.2f}x on {hw} "
-                    "threads)")
-        else:
-            print("  (speculative speedup floor skipped: host has "
                   f"{hw} < 8 hardware threads)")
 
 
@@ -469,21 +381,9 @@ def main():
     ap.add_argument("--min-speedup", type=float, default=1.5,
                     help="min sharded-vs-serial wall-clock speedup")
     ap.add_argument("--min-speedup-adaptive", type=float, default=0.0,
-                    help="min serial-vs-adaptive speedup, enforced "
+                    help="min serial-vs-sharded speedup, enforced "
                          "only on hosts with >= 8 hardware threads "
                          "(0 = off)")
-    ap.add_argument("--max-adaptive-regression", type=float,
-                    default=0.20,
-                    help="max fractional wall-clock cost of adaptive "
-                         "windows over conservative")
-    ap.add_argument("--min-speedup-speculative", type=float,
-                    default=0.0,
-                    help="min serial-vs-speculative speedup, enforced "
-                         "only on hosts with >= 8 hardware threads "
-                         "(0 = off)")
-    ap.add_argument("--max-rollback-rate", type=float, default=0.90,
-                    help="max fraction of speculative shard-bursts "
-                         "that rolled back")
     ap.add_argument("--replay-served", metavar="JSON",
                     help="bench export that must have been entirely "
                          "served from persisted replay traces")
@@ -565,10 +465,7 @@ def main():
 
     if args.sharded:
         check_sharded(args.sharded, args.min_speedup,
-                      args.min_speedup_adaptive,
-                      args.max_adaptive_regression,
-                      args.min_speedup_speculative,
-                      args.max_rollback_rate, failures)
+                      args.min_speedup_adaptive, failures)
 
     if args.replay_served:
         check_replay_served(args.replay_served, failures)
