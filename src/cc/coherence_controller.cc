@@ -80,6 +80,17 @@ CoherenceController::markLineDead(Addr line_addr)
 // Bus-side logic (the bus-side directory / dispatch front end)
 // ---------------------------------------------------------------------
 
+CoherenceController::DispatchItem
+CoherenceController::busItem(std::uint64_t txn_id, Addr line, BusCmd cmd)
+{
+    DispatchItem item;
+    item.isBus = true;
+    item.busTxnId = txn_id;
+    item.lineAddr = line;
+    item.busCmd = cmd;
+    return item;
+}
+
 void
 CoherenceController::writeHomeMemory(Addr line_addr,
                                      std::uint64_t version, Tick t)
@@ -90,12 +101,26 @@ CoherenceController::writeHomeMemory(Addr line_addr,
     memory_->setVersion(line_addr, version);
 }
 
-bool
-CoherenceController::lineAvailableLocally(Addr line_addr) const
+void
+CoherenceController::sendHome(MsgType type, Addr line,
+                              std::uint64_t version, bool retains,
+                              Tick t, bool direct)
 {
-    if (wbBuffer_.count(line_addr))
-        return true;
-    return probe_ != nullptr && probe_->lineCachedLocally(line_addr);
+    const NodeId home = map_.homeOf(line);
+    if (direct) {
+        ++statDirectWBs;
+        sendMsg(type, line, home, node_, version, retains, t);
+        return;
+    }
+    // Ablated direct path: an engine spends a send handler on it.
+    DispatchItem item = busItem(0, line, BusCmd::WriteBack);
+    item.msg.type = type;
+    item.msg.lineAddr = line;
+    item.msg.dst = home;
+    item.msg.version = version;
+    item.msg.ownerRetains = retains;
+    eq_.scheduleFunction([this, item] { enqueue(QBusRequest, item); },
+                         t);
 }
 
 SupplyDecision
@@ -103,284 +128,183 @@ CoherenceController::busObserve(BusTxn &txn, SnoopResult combined)
 {
     const Addr line = txn.lineAddr;
     const bool local = map_.homeOf(line) == node_;
-
-    if (txn.fromCC) {
-        // One of our own fetch/invalidate operations.
-        switch (txn.cmd) {
-          case BusCmd::Read:
-          case BusCmd::ReadExcl:
-            if (combined == SnoopResult::DirtySupply ||
-                combined == SnoopResult::SharedSupply) {
-                // A local line read out of a Modified local cache
-                // demotes the copy to Shared; memory must absorb the
-                // dirty data in the same transfer, or later readers
-                // would see the stale memory image.
-                if (txn.cmd == BusCmd::Read && local &&
-                    combined == SnoopResult::DirtySupply) {
-                    return SupplyDecision::CacheReflect;
-                }
-                return SupplyDecision::Cache;
-            }
-            if (auto it = wbBuffer_.find(line); it != wbBuffer_.end()) {
-                txn.dataVersion = it->second.version;
-                return SupplyDecision::Cache;
-            }
-            if (local)
-                return SupplyDecision::Memory;
-            return SupplyDecision::NoData; // stale owner; nack
-          case BusCmd::Inval:
-            return SupplyDecision::NoData;
-          case BusCmd::WriteBack:
-            panic("cc %s: controller-issued writeback", name_.c_str());
-        }
-    }
+    if (txn.fromCC)
+        return observeOwnOp(txn, combined, local);
 
     // Processor-issued transaction.
-    if (state_ != CcState::Normal) {
-        // The controller card is dark or rebuilding its directory.
-        // Transactions the snooping bus completes within the node
-        // (cache-to-cache supplies, writebacks into local memory)
-        // proceed as usual — the bus-side data path survives a
-        // controller crash. Anything that needs the controller's
-        // dispatch logic or a trustworthy directory parks until the
-        // restart replays it.
-        switch (txn.cmd) {
-          case BusCmd::Inval:
-            return SupplyDecision::NoData;
-          case BusCmd::WriteBack:
-            if (local)
-                return SupplyDecision::Memory;
-            wbBuffer_[line] = WbEntry{txn.dataVersion};
-            return SupplyDecision::NoData;
-          case BusCmd::Read:
-          case BusCmd::ReadExcl:
-            if (combined == SnoopResult::DirtySupply) {
-                if (local) {
-                    return txn.cmd == BusCmd::Read
-                               ? SupplyDecision::CacheReflect
-                               : SupplyDecision::Cache;
-                }
-                if (txn.cmd == BusCmd::Read) {
-                    // The demotion already happened in the snoop;
-                    // the dirty data must travel home now. The
-                    // direct data path needs no protocol engine.
-                    Tick data_time =
-                        eq_.curTick() + bus_.params().c2cDataLatency +
-                        static_cast<Tick>(
-                            bus_.params().lineBytes /
-                            bus_.params().busWidthBytes) *
-                            bus_.params().beatTicks;
-                    wbBuffer_[line] = WbEntry{txn.dataVersion};
-                    ++statDirectWBs;
-                    sendMsg(MsgType::SharingWB, line,
-                            map_.homeOf(line), node_, txn.dataVersion,
-                            /*retains=*/true, data_time);
-                }
-                return SupplyDecision::Cache;
-            }
-            // Only a plain Read may complete off a Shared copy: an
-            // upgrade needs the home to invalidate remote sharers
-            // and record ownership, so it parks like any other
-            // controller-dependent transaction.
-            if (combined == SnoopResult::SharedSupply && !local &&
-                txn.cmd == BusCmd::Read) {
-                return SupplyDecision::Cache;
-            }
-            break;
-        }
-        DispatchItem item;
-        item.isBus = true;
-        item.busTxnId = txn.id;
-        item.lineAddr = line;
-        item.busCmd = txn.cmd;
-        item.crashResend = true;
-        crashReplay_.push_back(item);
-        ++statParked;
-        return SupplyDecision::Deferred;
-    }
-    const bool busy = homeBusy_.count(line) != 0 ||
-                      deferredLocal_.count(line) != 0 ||
-                      (homeWaiting_.count(line) &&
-                       !homeWaiting_.at(line).empty());
-
     switch (txn.cmd) {
-      case BusCmd::Read:
-        if (local) {
-            if (combined == SnoopResult::DirtySupply) {
-                // Locally modified local line: cache-to-cache with
-                // memory reflection on the M->S downgrade. This must
-                // take precedence over parking — the snoop has
-                // already demoted the owner, so the data must move
-                // now. (A local Modified copy implies the directory
-                // records no remote owner, so the supply is safe
-                // even while another home transaction is active.)
-                return SupplyDecision::CacheReflect;
-            }
-            if (busy) {
-                // Serialize behind the in-progress home transaction.
-                DispatchItem item;
-                item.isBus = true;
-                item.busTxnId = txn.id;
-                item.lineAddr = line;
-                item.busCmd = txn.cmd;
-                homeWaiting_[line].push_back(item);
-                ++statParked;
-                return SupplyDecision::Deferred;
-            }
-            BusSideDirState bs = dir_.busSideState(line);
-            if (bs == BusSideDirState::DirtyRemote ||
-                isLineDead(line)) {
-                // A poisoned line must never fill from the stale
-                // memory image; the engine bounces it instead.
-                DispatchItem item;
-                item.isBus = true;
-                item.busTxnId = txn.id;
-                item.lineAddr = line;
-                item.busCmd = txn.cmd;
-                enqueue(QBusRequest, item);
-                return SupplyDecision::Deferred;
-            }
-            // An Exclusive fill is only safe when no remote node
-            // holds a copy; the bus-side directory answers this at
-            // bus rate.
-            txn.exclusiveOk = bs == BusSideDirState::NoRemote;
-            return SupplyDecision::Memory;
-        }
-        // Remote line.
-        if (combined == SnoopResult::DirtySupply) {
-            // Within-node supply; the downgrading owner's data also
-            // travels home as a sharing writeback on the direct data
-            // path so the directory stays truthful.
-            Tick data_time = eq_.curTick() +
-                             bus_.params().c2cDataLatency +
-                             static_cast<Tick>(
-                                 bus_.params().lineBytes /
-                                 bus_.params().busWidthBytes) *
-                                 bus_.params().beatTicks;
-            wbBuffer_[line] = WbEntry{txn.dataVersion};
-            std::uint64_t version = txn.dataVersion;
-            if (params_.directDataPath) {
-                ++statDirectWBs;
-                sendMsg(MsgType::SharingWB, line, map_.homeOf(line),
-                        node_, version, /*retains=*/true, data_time);
-            } else {
-                DispatchItem item;
-                item.isBus = true;
-                item.busTxnId = 0;
-                item.lineAddr = line;
-                item.busCmd = BusCmd::WriteBack;
-                item.msg.type = MsgType::SharingWB;
-                item.msg.lineAddr = line;
-                item.msg.dst = map_.homeOf(line);
-                item.msg.version = version;
-                item.msg.ownerRetains = true;
-                eq_.scheduleFunction(
-                    [this, item] { enqueue(QBusRequest, item); },
-                    data_time);
-            }
-            return SupplyDecision::Cache;
-        }
-        if (combined == SnoopResult::SharedSupply)
-            return SupplyDecision::Cache;
-        break; // miss within the node: go remote
-
-      case BusCmd::ReadExcl:
-        if (local) {
-            if (combined == SnoopResult::DirtySupply) {
-                // Ownership migrates between local caches; the
-                // demotion already happened in the snoop, so the
-                // transfer must complete regardless of parking.
-                return SupplyDecision::Cache;
-            }
-            if (busy) {
-                DispatchItem item;
-                item.isBus = true;
-                item.busTxnId = txn.id;
-                item.lineAddr = line;
-                item.busCmd = txn.cmd;
-                homeWaiting_[line].push_back(item);
-                ++statParked;
-                return SupplyDecision::Deferred;
-            }
-            BusSideDirState bs = dir_.busSideState(line);
-            if (bs == BusSideDirState::NoRemote &&
-                !isLineDead(line)) {
-                return SupplyDecision::Memory;
-            }
-            DispatchItem item;
-            item.isBus = true;
-            item.busTxnId = txn.id;
-            item.lineAddr = line;
-            item.busCmd = txn.cmd;
-            enqueue(QBusRequest, item);
-            return SupplyDecision::Deferred;
-        }
-        // Remote line.
-        if (combined == SnoopResult::DirtySupply) {
-            // The node owns the line; ownership migrates within the
-            // node without involving the home.
-            return SupplyDecision::Cache;
-        }
-        break; // need exclusive permission from the home
-
       case BusCmd::Inval:
         return SupplyDecision::NoData;
-
       case BusCmd::WriteBack:
         if (local)
             return SupplyDecision::Memory;
         // Reserve the writeback buffer entry immediately so that
         // requests racing with the writeback stall behind it.
         wbBuffer_[line] = WbEntry{txn.dataVersion};
-        return SupplyDecision::NoData; // captured; see below
+        return SupplyDecision::NoData; // see busCaptureWriteBack
+      case BusCmd::Read:
+      case BusCmd::ReadExcl:
+        break;
     }
+    const bool read = txn.cmd == BusCmd::Read;
+    if (combined == SnoopResult::DirtySupply) {
+        // The snoop already demoted (Read) or invalidated (ReadExcl)
+        // the owning cache, so the data must move now, ahead of any
+        // parking and even with the controller card down: the
+        // bus-side data path survives a crash. A local Modified copy
+        // implies the directory records no remote owner, so the
+        // supply is safe while another home transaction is active;
+        // a demoted local line reflects into memory, or later
+        // readers would see the stale memory image. Remote
+        // ownership migrates within the node without the home.
+        if (local) {
+            return read ? SupplyDecision::CacheReflect
+                        : SupplyDecision::Cache;
+        }
+        if (read) {
+            // The downgrading owner's data travels home as a sharing
+            // writeback, sent once the cache-to-cache transfer is on
+            // the bus, so the directory stays truthful. A card that
+            // is down has no engine for the ablated slow path.
+            const BusParams &bp = bus_.params();
+            const Tick data_time =
+                eq_.curTick() + bp.c2cDataLatency +
+                static_cast<Tick>(bp.lineBytes / bp.busWidthBytes) *
+                    bp.beatTicks;
+            wbBuffer_[line] = WbEntry{txn.dataVersion};
+            sendHome(MsgType::SharingWB, line, txn.dataVersion,
+                     /*retains=*/true, data_time,
+                     params_.directDataPath ||
+                         state_ != CcState::Normal);
+        }
+        return SupplyDecision::Cache;
+    }
+    // Only a plain Read of a remote line completes off a Shared copy
+    // in the node: an upgrade needs the home to invalidate remote
+    // sharers and record ownership.
+    if (combined == SnoopResult::SharedSupply && !local && read)
+        return SupplyDecision::Cache;
+    if (state_ != CcState::Normal)
+        return parkForRestart(txn);
+    if (local)
+        return observeHomeRequest(txn);
 
     // Remote-line miss: defer and hand to a protocol engine, merging
     // with an existing pending transaction for the same line when the
     // request kinds are compatible.
-    DispatchItem item;
-    item.isBus = true;
-    item.busTxnId = txn.id;
-    item.lineAddr = line;
-    item.busCmd = txn.cmd;
-    auto it = reqPending_.find(line);
-    if (it != reqPending_.end()) {
-        if (!it->second.excl && txn.cmd == BusCmd::Read) {
-            it->second.busTxns.push_back(txn.id);
-            ++statMerged;
-        } else {
-            it->second.conflicting.push_back(item);
+    DispatchItem item = busItem(txn.id, line, txn.cmd);
+    if (auto it = reqPending_.find(line); it != reqPending_.end())
+        joinPending(it->second, item);
+    else
+        enqueue(QBusRequest, item);
+    return SupplyDecision::Deferred;
+}
+
+SupplyDecision
+CoherenceController::observeOwnOp(BusTxn &txn, SnoopResult combined,
+                                  bool local)
+{
+    switch (txn.cmd) {
+      case BusCmd::Read:
+      case BusCmd::ReadExcl:
+        if (combined == SnoopResult::DirtySupply ||
+            combined == SnoopResult::SharedSupply) {
+            // A local line read out of a Modified local cache
+            // demotes the copy to Shared; memory must absorb the
+            // dirty data in the same transfer.
+            if (txn.cmd == BusCmd::Read && local &&
+                combined == SnoopResult::DirtySupply) {
+                return SupplyDecision::CacheReflect;
+            }
+            return SupplyDecision::Cache;
         }
+        if (auto it = wbBuffer_.find(txn.lineAddr);
+            it != wbBuffer_.end()) {
+            txn.dataVersion = it->second.version;
+            return SupplyDecision::Cache;
+        }
+        // No copy in the node: memory supplies a local line; a
+        // remote one means we are a stale owner (nack).
+        return local ? SupplyDecision::Memory : SupplyDecision::NoData;
+      case BusCmd::Inval:
+        return SupplyDecision::NoData;
+      case BusCmd::WriteBack:
+        break;
+    }
+    panic("cc %s: controller-issued writeback", name_.c_str());
+}
+
+SupplyDecision
+CoherenceController::parkForRestart(const BusTxn &txn)
+{
+    // The controller card is dark or rebuilding its directory.
+    // Transactions the snooping bus completes within the node
+    // (cache-to-cache supplies, writebacks into local memory) have
+    // already proceeded; anything that needs the controller's
+    // dispatch logic or a trustworthy directory parks until the
+    // restart replays it.
+    DispatchItem item = busItem(txn.id, txn.lineAddr, txn.cmd);
+    item.crashResend = true;
+    crashReplay_.push_back(item);
+    ++statParked;
+    return SupplyDecision::Deferred;
+}
+
+SupplyDecision
+CoherenceController::observeHomeRequest(BusTxn &txn)
+{
+    const Addr line = txn.lineAddr;
+    const bool busy = homeBusy_.count(line) != 0 ||
+                      deferredLocal_.count(line) != 0 ||
+                      (homeWaiting_.count(line) &&
+                       !homeWaiting_.at(line).empty());
+    if (busy) {
+        // Serialize behind the in-progress home transaction.
+        homeWaiting_[line].push_back(busItem(txn.id, line, txn.cmd));
+        ++statParked;
         return SupplyDecision::Deferred;
     }
-    enqueue(QBusRequest, item);
-    return SupplyDecision::Deferred;
+    // The bus-side directory answers at bus rate whether a remote
+    // node holds a copy the engine must recall or invalidate. A
+    // poisoned line must never fill from the stale memory image
+    // either; the engine bounces it instead.
+    const BusSideDirState bs = dir_.busSideState(line);
+    const bool remote = txn.cmd == BusCmd::Read
+                            ? bs == BusSideDirState::DirtyRemote
+                            : bs != BusSideDirState::NoRemote;
+    if (remote || isLineDead(line)) {
+        enqueue(QBusRequest, busItem(txn.id, line, txn.cmd));
+        return SupplyDecision::Deferred;
+    }
+    // An Exclusive fill is only safe when no remote node holds a
+    // copy.
+    if (txn.cmd == BusCmd::Read)
+        txn.exclusiveOk = bs == BusSideDirState::NoRemote;
+    return SupplyDecision::Memory;
+}
+
+void
+CoherenceController::joinPending(ReqPending &rp,
+                                 const DispatchItem &item)
+{
+    // A read merges into a pending read; anything else waits for the
+    // pending transaction to complete.
+    if (!rp.excl && item.busCmd == BusCmd::Read) {
+        rp.busTxns.push_back(item.busTxnId);
+        ++statMerged;
+    } else {
+        rp.conflicting.push_back(item);
+    }
 }
 
 void
 CoherenceController::busCaptureWriteBack(BusTxn &txn, Tick data_ready)
 {
     const Addr line = txn.lineAddr;
-    const NodeId home = map_.homeOf(line);
-    ccnuma_assert(home != node_);
+    ccnuma_assert(map_.homeOf(line) != node_);
     ccnuma_assert(wbBuffer_.count(line));
-    if (params_.directDataPath) {
-        ++statDirectWBs;
-        sendMsg(MsgType::WriteBack, line, home, node_,
-                txn.dataVersion, false, data_ready);
-    } else {
-        DispatchItem item;
-        item.isBus = true;
-        item.busTxnId = 0;
-        item.lineAddr = line;
-        item.busCmd = BusCmd::WriteBack;
-        item.msg.type = MsgType::WriteBack;
-        item.msg.lineAddr = line;
-        item.msg.dst = home;
-        item.msg.version = txn.dataVersion;
-        eq_.scheduleFunction(
-            [this, item] { enqueue(QBusRequest, item); }, data_ready);
-    }
+    sendHome(MsgType::WriteBack, line, txn.dataVersion,
+             /*retains=*/false, data_ready, params_.directDataPath);
 }
 
 SnoopResult
@@ -395,13 +319,11 @@ void
 CoherenceController::busDone(BusTxn &txn)
 {
     auto it = fetches_.find(txn.id);
-    if (it == fetches_.end() && params_.recoveryEnabled) {
-        // The handler that issued this fetch died in a crash; its
-        // originating request was collected for replay and will
-        // fetch again from scratch.
-        ++statStrayDrops;
+    // The handler that issued a lost fetch died in a crash; its
+    // originating request was collected for replay and will fetch
+    // again from scratch.
+    if (it == fetches_.end() && strayDrop("bus fetch"))
         return;
-    }
     ccnuma_assert(it != fetches_.end());
     std::unique_ptr<Exec> ex = std::move(it->second);
     fetches_.erase(it);
@@ -492,6 +414,13 @@ CoherenceController::netReceive(const Msg &msg)
         ++statCrashDropped;
         return;
     }
+    if (msgTraits(msg.type).queue != MsgQueue::Interface) {
+        DispatchItem item;
+        item.msg = msg;
+        item.lineAddr = msg.lineAddr;
+        enqueue(queueOf(item), item);
+        return;
+    }
 
     // Home-liveness probes are answered at the network interface,
     // below the dispatch queues: a probe must tell the requester
@@ -500,54 +429,51 @@ CoherenceController::netReceive(const Msg &msg)
     if (msg.type == MsgType::RecoveryProbe) {
         sendMsg(MsgType::RecoveryProbeAck, msg.lineAddr, msg.src,
                 msg.requester, 0, false, eq_.curTick());
-        return;
-    }
-    if (msg.type == MsgType::RecoveryProbeAck) {
+    } else if (msg.type == MsgType::RecoveryProbeAck) {
         // The home is alive, just slow: give it a fresh ladder.
         missLadders_.erase(msg.lineAddr);
-        return;
+    } else {
+        // Writeback acknowledgements retire writeback-buffer entries;
+        // that is network-interface bookkeeping, not protocol handler
+        // work — no engine dispatch, no occupancy.
+        ccnuma_assert(msg.type == MsgType::WriteBackAck);
+        wbBuffer_.erase(msg.lineAddr);
+        releaseWbWaiting(msg.lineAddr);
     }
+}
 
-    // Writeback acknowledgements retire writeback-buffer entries;
-    // that is network-interface bookkeeping, not protocol handler
-    // work — no engine dispatch, no occupancy.
-    if (msg.type == MsgType::WriteBackAck) {
-        const Addr line = msg.lineAddr;
-        wbBuffer_.erase(line);
-        auto wit = wbWaiting_.find(line);
-        if (wit == wbWaiting_.end())
-            return;
-        std::deque<DispatchItem> waiting = std::move(wit->second);
-        wbWaiting_.erase(wit);
-        for (auto rit = waiting.rbegin(); rit != waiting.rend();
-             ++rit) {
-            enqueue(QBusRequest, *rit, /*to_front=*/true);
-        }
+void
+CoherenceController::releaseWbWaiting(Addr line_addr)
+{
+    auto it = wbWaiting_.find(line_addr);
+    if (it == wbWaiting_.end())
         return;
-    }
-
-    DispatchItem item;
-    item.msg = msg;
-    item.lineAddr = msg.lineAddr;
-    switch (msg.type) {
-      case MsgType::ReadReq:
-      case MsgType::ReadExclReq:
-      case MsgType::FwdRead:
-      case MsgType::FwdReadExcl:
-      case MsgType::InvalReq:
-      case MsgType::WriteBack:
-      case MsgType::DirProbe:
-        enqueue(QNetRequest, item);
-        break;
-      default:
-        enqueue(QNetResponse, item);
-        break;
-    }
+    std::deque<DispatchItem> waiting = std::move(it->second);
+    wbWaiting_.erase(it);
+    requeueFront(waiting);
 }
 
 // ---------------------------------------------------------------------
 // Dispatch machinery
 // ---------------------------------------------------------------------
+
+unsigned
+CoherenceController::queueOf(const DispatchItem &item)
+{
+    if (item.isBus)
+        return QBusRequest;
+    return msgTraits(item.msg.type).queue == MsgQueue::Request
+               ? QNetRequest
+               : QNetResponse;
+}
+
+void
+CoherenceController::requeueFront(const std::deque<DispatchItem> &items)
+{
+    // push_front in reverse keeps the items in their original order.
+    for (auto it = items.rbegin(); it != items.rend(); ++it)
+        enqueue(queueOf(*it), *it, /*to_front=*/true);
+}
 
 unsigned
 CoherenceController::engineFor(Addr line_addr) const
@@ -733,10 +659,11 @@ CoherenceController::tryDispatch(unsigned engine_idx)
 void
 CoherenceController::startItem(unsigned engine_idx, DispatchItem item)
 {
-    engines_[engine_idx].curLine = item.lineAddr;
-    engines_[engine_idx].curLineValid = true;
-    engines_[engine_idx].curItem = item;
-    engines_[engine_idx].curItemValid = true;
+    Engine &e = engines_[engine_idx];
+    e.curLine = item.lineAddr;
+    e.curLineValid = true;
+    e.curItem = item;
+    e.curItemValid = true;
     if (item.isBus && item.busCmd != BusCmd::WriteBack &&
         map_.homeOf(item.lineAddr) == node_) {
         auto it = deferredLocal_.find(item.lineAddr);
@@ -744,15 +671,93 @@ CoherenceController::startItem(unsigned engine_idx, DispatchItem item)
         if (--it->second == 0)
             deferredLocal_.erase(it);
     }
-    if (item.isBus)
-        executeBusItem(engine_idx, item);
-    else
-        executeNetItem(engine_idx, item);
+    if (!item.isBus) {
+        const Msg &msg = item.msg;
+        ccnuma_trace(msg.lineAddr,
+                     "%8llu %s dispatch %s from node%u req=%u ver=%llu",
+                     (unsigned long long)eq_.curTick(), name_.c_str(),
+                     msgTypeName(msg.type), msg.src, msg.requester,
+                     (unsigned long long)msg.version);
+    }
+    if (admit(engine_idx, item))
+        serve(engine_idx, item);
+}
+
+void
+CoherenceController::serve(unsigned e, const DispatchItem &item)
+{
+    if (item.isBus) {
+        if (item.busCmd == BusCmd::WriteBack)
+            busSendWriteBack(e, item);
+        else if (map_.homeOf(item.lineAddr) == node_)
+            busHomeRequest(e, item);
+        else
+            busRemoteRequest(e, item);
+        return;
+    }
+    const Msg &msg = item.msg;
+    switch (msg.type) {
+      case MsgType::ReadReq:
+      case MsgType::ReadExclReq:
+        homeRequest(e, item);
+        return;
+      case MsgType::FwdRead:
+      case MsgType::FwdReadExcl:
+        ownerForward(e, msg);
+        return;
+      case MsgType::InvalReq:
+        sharerInval(e, msg);
+        return;
+      case MsgType::InvalAck:
+        invalAck(e, msg);
+        return;
+      case MsgType::DataReply:
+      case MsgType::DataExclReply:
+        requesterData(e, msg);
+        return;
+      case MsgType::OwnerDataToHome:
+      case MsgType::OwnerDataExclToHome:
+        ownerDataToHome(e, msg);
+        return;
+      case MsgType::SharingWB:
+        sharingWriteBack(e, msg);
+        return;
+      case MsgType::OwnershipAck:
+        ownershipAck(e, msg);
+        return;
+      case MsgType::WriteBack:
+        absorbWriteBack(e, HandlerId::WriteBackAtHome, msg,
+                        dir_.entry(msg.lineAddr));
+        return;
+      case MsgType::HomeNack:
+      case MsgType::RecoveryNack:
+        requestNacked(e, msg);
+        return;
+      case MsgType::PoisonNack:
+        poisonNacked(e, msg);
+        return;
+      case MsgType::OwnerNack:
+        ownerNacked(e, msg);
+        return;
+      case MsgType::DirProbe:
+        dirProbe(e, msg);
+        return;
+      case MsgType::DirProbeResp:
+      case MsgType::DirProbeDone:
+        dirProbeResponse(e, msg);
+        return;
+      case MsgType::WriteBackAck:
+      case MsgType::RecoveryProbe:
+      case MsgType::RecoveryProbeAck:
+        break; // answered at the network interface (netReceive)
+    }
+    panic("cc %s: %s reached the dispatch path", name_.c_str(),
+          msgTypeName(msg.type));
 }
 
 void
 CoherenceController::parkAtHome(unsigned engine_idx,
-                                DispatchItem &item)
+                                const DispatchItem &item)
 {
     homeWaiting_[item.lineAddr].push_back(item);
     ++statParked;
@@ -778,18 +783,10 @@ CoherenceController::drainHomeWaiting(Addr line_addr, Tick t)
         return;
     std::deque<DispatchItem> waiting = std::move(it->second);
     homeWaiting_.erase(it);
-    // Replay in arrival order; push_front in reverse order. (No
-    // epoch guard: if a crash lands first, enqueue parks the items
-    // with the rest of the outage's replay work.)
-    eq_.scheduleFunction(
-        [this, waiting] {
-            for (auto rit = waiting.rbegin(); rit != waiting.rend();
-                 ++rit) {
-                enqueue(rit->isBus ? QBusRequest : QNetRequest, *rit,
-                        /*to_front=*/true);
-            }
-        },
-        t);
+    // Replay in arrival order. (No epoch guard: if a crash lands
+    // first, enqueue parks the items with the rest of the outage's
+    // replay work.)
+    eq_.scheduleFunction([this, waiting] { requeueFront(waiting); }, t);
 }
 
 // ---------------------------------------------------------------------
@@ -900,152 +897,315 @@ CoherenceController::finishHandler(unsigned engine_idx, Tick free_at)
 }
 
 // ---------------------------------------------------------------------
-// Protocol decisions: local bus requests
+// The guard stage: is this item served now?
+// ---------------------------------------------------------------------
+
+bool
+CoherenceController::admit(unsigned engine_idx, const DispatchItem &item)
+{
+    const Addr line = item.lineAddr;
+    if (item.isBus) {
+        // A local processor request for a home line waits out a busy
+        // line first, then bounces off a poisoned one.
+        if (item.busCmd == BusCmd::WriteBack ||
+            map_.homeOf(line) != node_) {
+            return true;
+        }
+        if (homeBusy_.count(line)) {
+            parkAtHome(engine_idx, item);
+            return false;
+        }
+        if (isLineDead(line)) {
+            fenceDeadLine(engine_idx, item);
+            return false;
+        }
+        return true;
+    }
+
+    const Msg &msg = item.msg;
+    const MsgTraits &tr = msgTraits(msg.type);
+    if (state_ == CcState::Recovering && tr.rebuild == OnRebuild::Park) {
+        // The owner/sharer picture is still being rebuilt; hold the
+        // writeback until the directory can judge whether it
+        // applies. The sender's buffer entry stays reserved until we
+        // ack, preserving request-follows-writeback ordering across
+        // the outage.
+        rebuildParkedWb_.push_back(msg);
+        finishHandler(engine_idx,
+                      eq_.curTick() + params_.dispatchLatency);
+        return false;
+    }
+    if (tr.rebuild == OnRebuild::Nack) {
+        // A fresh request for one of our lines. While the directory
+        // is being rebuilt nothing it says can be trusted: bounce it
+        // with a distinct nack so the requester's bounded-retry
+        // policy re-presents it after the rebuild. A poisoned line's
+        // only up-to-date copy is gone: fence the requester off it
+        // with a terminal nack (no retry will ever help). A busy
+        // line serializes the request behind its transaction.
+        if (state_ == CcState::Recovering) {
+            ++statRecoveryNacks;
+            nackRequest(engine_idx, msg, MsgType::RecoveryNack);
+        } else if (isLineDead(line)) {
+            notePoison(line);
+            nackRequest(engine_idx, msg, MsgType::PoisonNack);
+        } else if (homeBusy_.count(line)) {
+            parkAtHome(engine_idx, item);
+        } else {
+            return true;
+        }
+        return false;
+    }
+    const bool held = tr.needs == MsgNeeds::HomeTxn
+                          ? homeBusy_.count(line) != 0
+                      : tr.needs == MsgNeeds::ReqTxn
+                          ? reqPending_.count(line) != 0
+                          : true;
+    if (held)
+        return true;
+    // A response for transaction state lost in a crash: the replayed
+    // request will be answered afresh (Msg::recoveryResend).
+    if (!strayDrop(msgTypeName(msg.type))) {
+        panic("cc %s: %s for line %#llx without its transaction",
+              name_.c_str(), msgTypeName(msg.type),
+              (unsigned long long)line);
+    }
+    finishHandler(engine_idx, eq_.curTick());
+    return false;
+}
+
+void
+CoherenceController::notePoison(Addr line_addr)
+{
+    ++statPoisonNacks;
+    if (tracer_) {
+        tracer_->faultEvent(obs::FaultKind::Poison, node_, line_addr,
+                            eq_.curTick());
+    }
+}
+
+void
+CoherenceController::nackRequest(unsigned engine_idx, const Msg &msg,
+                                 MsgType nack)
+{
+    const Addr line = msg.lineAddr;
+    const NodeId req = msg.requester;
+    beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                 CcBusOp::None, [this, line, req, nack](Exec &, Tick t) {
+                     sendMsg(nack, line, req, req, 0, false, t);
+                 });
+}
+
+void
+CoherenceController::fenceDeadLine(unsigned engine_idx,
+                                   const DispatchItem &item)
+{
+    // The machine's poison fence kills the blocked processors and
+    // aborts their misses, then the deferred bus transaction drains
+    // without installing anything (the cache unit drops it via its
+    // poison-abort list).
+    const Addr line = item.lineAddr;
+    const std::uint64_t bus_txn = item.busTxnId;
+    notePoison(line);
+    beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                 CcBusOp::None, [this, line, bus_txn](Exec &, Tick t) {
+                     if (poisonFence_)
+                         poisonFence_(line);
+                     bus_.deferredRespond(bus_txn, 0, t);
+                     drainHomeWaiting(line, t);
+                 });
+}
+
+// ---------------------------------------------------------------------
+// Protocol handlers: shared plumbing
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::uint64_t
+sharerBit(NodeId n)
+{
+    return 1ull << n;
+}
+
+/** The Table 4 handler an owner runs to supply a forwarded line. */
+HandlerId
+ownerHandler(bool excl, bool to_home)
+{
+    if (excl) {
+        return to_home ? HandlerId::ReadExclFromOwnerForHome
+                       : HandlerId::ReadExclFromOwnerForRemote;
+    }
+    return to_home ? HandlerId::ReadFromOwnerForHome
+                   : HandlerId::ReadFromOwnerForRemote;
+}
+
+} // namespace
+
+void
+CoherenceController::openHomeTxn(const DispatchItem &item,
+                                 unsigned acks)
+{
+    HomeTxn txn;
+    txn.localRequest = item.isBus;
+    txn.requester = item.isBus ? node_ : item.msg.requester;
+    txn.excl = item.isBus ? item.busCmd == BusCmd::ReadExcl
+                          : item.msg.type == MsgType::ReadExclReq;
+    txn.busTxnId = item.busTxnId;
+    txn.acksExpected = acks;
+    txn.original = item;
+    homeBusy_[item.lineAddr] = txn;
+}
+
+void
+CoherenceController::dirHome(Addr line_addr, Tick t)
+{
+    DirEntry &e = dir_.entry(line_addr);
+    e.state = DirState::Home;
+    e.sharers = 0;
+    dir_.scheduleWrite(line_addr, t);
+}
+
+void
+CoherenceController::dirOwner(Addr line_addr, NodeId owner, Tick t)
+{
+    DirEntry &e = dir_.entry(line_addr);
+    e.state = DirState::DirtyRemote;
+    e.owner = owner;
+    e.sharers = 0;
+    dir_.scheduleWrite(line_addr, t);
+}
+
+void
+CoherenceController::dirShared(Addr line_addr, std::uint64_t sharers,
+                               Tick t)
+{
+    DirEntry &e = dir_.entry(line_addr);
+    e.state = DirState::SharedRemote;
+    e.sharers = sharers;
+    dir_.scheduleWrite(line_addr, t);
+}
+
+std::vector<NodeId>
+CoherenceController::sharersBut(const DirEntry &d, NodeId skip) const
+{
+    std::vector<NodeId> targets;
+    for (NodeId n = 0; n < map_.numNodes(); ++n) {
+        if (d.isSharer(n) && n != skip)
+            targets.push_back(n);
+    }
+    return targets;
+}
+
+void
+CoherenceController::collectAcks(unsigned engine_idx,
+                                 const DispatchItem &item, HandlerId h,
+                                 std::vector<NodeId> targets)
+{
+    ccnuma_assert(!targets.empty());
+    const Addr line = item.lineAddr;
+    const int extra = static_cast<int>(targets.size());
+    openHomeTxn(item, static_cast<unsigned>(extra));
+    // Fetch-exclusive: the data rides the last ack back to the
+    // requester, and local copies acquired since the original bus
+    // snoop must die with the rest.
+    beginHandler(engine_idx, h, line, extra, CcBusOp::FetchReadExcl,
+                 [this, line, targets](Exec &ex, Tick t) {
+                     HomeTxn &txn = homeBusy_.at(line);
+                     txn.dataVersion = ex.version;
+                     txn.haveData = true;
+                     for (NodeId n : targets) {
+                         sendMsg(MsgType::InvalReq, line, n, node_, 0,
+                                 false, t);
+                     }
+                 });
+}
+
+std::deque<CoherenceController::DispatchItem>
+CoherenceController::pendingItems(Addr line_addr, const ReqPending &rp)
+{
+    std::deque<DispatchItem> items;
+    for (std::uint64_t txn : rp.busTxns) {
+        items.push_back(busItem(
+            txn, line_addr, rp.excl ? BusCmd::ReadExcl : BusCmd::Read));
+    }
+    items.insert(items.end(), rp.conflicting.begin(),
+                 rp.conflicting.end());
+    return items;
+}
+
+// ---------------------------------------------------------------------
+// Protocol handlers: local bus requests
 // ---------------------------------------------------------------------
 
 void
-CoherenceController::executeBusItem(unsigned engine_idx,
-                                    DispatchItem &item)
+CoherenceController::busSendWriteBack(unsigned engine_idx,
+                                      const DispatchItem &item)
 {
-    const Addr line = item.lineAddr;
-
     // Slow-path (ablation) writeback / sharing-writeback send: the
     // engine spends a send handler where the direct data path would
     // have forwarded the data for free.
-    if (item.busCmd == BusCmd::WriteBack) {
-        Msg m = item.msg;
-        beginHandler(engine_idx, HandlerId::BusReadRemote, line, 0,
-                     CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
-                         sendMsg(m.type, m.lineAddr, m.dst, node_,
-                                 m.version, m.ownerRetains, t);
+    const Msg m = item.msg;
+    beginHandler(engine_idx, HandlerId::BusReadRemote, item.lineAddr, 0,
+                 CcBusOp::None, [this, m](Exec &, Tick t) {
+                     sendMsg(m.type, m.lineAddr, m.dst, node_,
+                             m.version, m.ownerRetains, t);
+                 });
+}
+
+void
+CoherenceController::busHomeRequest(unsigned engine_idx,
+                                    const DispatchItem &item)
+{
+    const Addr line = item.lineAddr;
+    const bool excl = item.busCmd == BusCmd::ReadExcl;
+    const DirEntry &d = dir_.entry(line);
+    if (d.state == DirState::DirtyRemote) {
+        const NodeId owner = d.owner;
+        openHomeTxn(item);
+        beginHandler(engine_idx, HandlerId::BusReadLocalDirtyRemote,
+                     line, 0, CcBusOp::None,
+                     [this, line, owner, excl](Exec &, Tick t) {
+                         sendMsg(excl ? MsgType::FwdReadExcl
+                                      : MsgType::FwdRead,
+                                 line, owner, node_, 0, false, t);
                      });
         return;
     }
-
-    const NodeId home = map_.homeOf(line);
-    const bool excl = item.busCmd == BusCmd::ReadExcl;
-
-    if (home == node_) {
-        if (homeBusy_.count(line)) {
-            parkAtHome(engine_idx, item);
-            return;
-        }
-        if (isLineDead(line)) {
-            // Local processor request for a poisoned local line: the
-            // machine's poison fence kills the blocked processors
-            // and aborts their misses, then the deferred bus
-            // transaction drains without installing anything (the
-            // cache unit drops it via its poison-abort list).
-            std::uint64_t bus_txn = item.busTxnId;
-            ++statPoisonNacks;
-            if (tracer_) {
-                tracer_->faultEvent(obs::FaultKind::Poison, node_,
-                                    line, eq_.curTick());
-            }
-            beginHandler(
-                engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-                CcBusOp::None,
-                [this, line, bus_txn](Exec &, Tick t) {
-                    if (poisonFence_)
-                        poisonFence_(line);
-                    bus_.deferredRespond(bus_txn, 0, t);
-                    drainHomeWaiting(line, t);
-                });
-            return;
-        }
-        DirEntry &d = dir_.entry(line);
-        switch (d.state) {
-          case DirState::DirtyRemote: {
-            NodeId owner = d.owner;
-            HomeTxn txn;
-            txn.requester = node_;
-            txn.excl = excl;
-            txn.localRequest = true;
-            txn.busTxnId = item.busTxnId;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx, HandlerId::BusReadLocalDirtyRemote, line,
-                0, CcBusOp::None,
-                [this, line, owner, excl](Exec &, Tick t) {
-                    sendMsg(excl ? MsgType::FwdReadExcl
-                                 : MsgType::FwdRead,
-                            line, owner, node_, 0, false, t);
-                });
-            return;
-          }
-          case DirState::SharedRemote:
-            if (excl) {
-                std::vector<NodeId> targets;
-                for (NodeId n = 0; n < map_.numNodes(); ++n) {
-                    if (d.isSharer(n))
-                        targets.push_back(n);
-                }
-                ccnuma_assert(!targets.empty());
-                HomeTxn txn;
-                txn.requester = node_;
-                txn.excl = true;
-                txn.localRequest = true;
-                txn.busTxnId = item.busTxnId;
-                txn.acksExpected =
-                    static_cast<unsigned>(targets.size());
-                txn.original = item;
-                homeBusy_[line] = txn;
-                beginHandler(
-                    engine_idx,
-                    HandlerId::BusReadExclLocalCachedRemote, line,
-                    static_cast<int>(targets.size()),
-                    // Fetch-exclusive: local copies acquired since
-                    // the original bus snoop must die with the rest.
-                    CcBusOp::FetchReadExcl,
-                    [this, line, targets](Exec &ex, Tick t) {
-                        auto hb = homeBusy_.find(line);
-                        ccnuma_assert(hb != homeBusy_.end());
-                        hb->second.dataVersion = ex.version;
-                        hb->second.haveData = true;
-                        for (NodeId n : targets) {
-                            sendMsg(MsgType::InvalReq, line, n,
-                                    node_, 0, false, t);
-                        }
-                    });
-                return;
-            }
-            // Local read of a shared-remote line should have been
-            // supplied by memory; it reaches an engine only as a
-            // replay after parking. Supply it from memory now.
-            [[fallthrough]];
-          case DirState::Home: {
-            std::uint64_t bus_txn = item.busTxnId;
-            // Hold a home transaction across the fetch: once this
-            // engine dispatched, the deferredLocal_ guard is gone,
-            // and without homeBusy_ a fresh local ReadExcl would
-            // sail past busObserve and fill Modified straight from
-            // memory while the fetch below carries the same line's
-            // data to the parked requester — two Modified copies.
-            HomeTxn txn;
-            txn.requester = node_;
-            txn.excl = excl;
-            txn.localRequest = true;
-            txn.busTxnId = item.busTxnId;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx,
-                excl ? HandlerId::ReadExclFromOwnerForHome
-                     : HandlerId::ReadFromOwnerForHome,
-                line, 0,
-                excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-                [this, line, bus_txn](Exec &ex, Tick t) {
-                    ccnuma_assert(!ex.fetchFailed);
-                    bus_.deferredRespond(bus_txn, ex.version, t);
-                    closeHomeTxn(line, t);
-                });
-            return;
-          }
-        }
+    if (d.state == DirState::SharedRemote && excl) {
+        collectAcks(engine_idx, item,
+                    HandlerId::BusReadExclLocalCachedRemote,
+                    sharersBut(d, node_));
         return;
     }
+    // No remote copy to recall, or a local read of a shared-remote
+    // line (memory supplied it at the snoop; it reaches an engine
+    // only as a replay after parking): supply it from memory now.
+    // Hold a home transaction across the fetch: once this engine
+    // dispatched, the deferredLocal_ guard is gone, and without
+    // homeBusy_ a fresh local ReadExcl would sail past busObserve and
+    // fill Modified straight from memory while the fetch below
+    // carries the same line's data to the parked requester — two
+    // Modified copies.
+    const std::uint64_t bus_txn = item.busTxnId;
+    openHomeTxn(item);
+    beginHandler(engine_idx, ownerHandler(excl, /*to_home=*/true), line,
+                 0, excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
+                 [this, line, bus_txn](Exec &ex, Tick t) {
+                     ccnuma_assert(!ex.fetchFailed);
+                     bus_.deferredRespond(bus_txn, ex.version, t);
+                     closeHomeTxn(line, t);
+                 });
+}
+
+void
+CoherenceController::busRemoteRequest(unsigned engine_idx,
+                                      const DispatchItem &item)
+{
+    const Addr line = item.lineAddr;
+    const NodeId home = map_.homeOf(line);
+    const bool excl = item.busCmd == BusCmd::ReadExcl;
 
     // A request for a line whose writeback we have not yet seen
     // acknowledged must wait: the home has to absorb the writeback
@@ -1058,17 +1218,10 @@ CoherenceController::executeBusItem(unsigned engine_idx,
                       eq_.curTick() + params_.dispatchLatency);
         return;
     }
-
-    // Remote line: open (or join) a requester-side transaction.
-    auto it = reqPending_.find(line);
-    if (it != reqPending_.end()) {
-        if (!it->second.excl && !excl) {
-            it->second.busTxns.push_back(item.busTxnId);
-            ++statMerged;
-        } else {
-            it->second.conflicting.push_back(item);
-        }
-        // Nothing further for the engine to do.
+    // Join a requester-side transaction already open for the line;
+    // nothing further for the engine to do.
+    if (auto it = reqPending_.find(line); it != reqPending_.end()) {
+        joinPending(it->second, item);
         finishHandler(engine_idx,
                       eq_.curTick() + params_.dispatchLatency);
         return;
@@ -1085,16 +1238,10 @@ CoherenceController::executeBusItem(unsigned engine_idx,
         mod_local ||
         (probe_ != nullptr && probe_->lineCachedLocally(line));
     if ((excl && mod_local) || (!excl && cached_local)) {
-        std::uint64_t bus_txn = item.busTxnId;
-        DispatchItem retry = item;
         beginHandler(
-            engine_idx,
-            excl ? HandlerId::ReadExclFromOwnerForHome
-                 : HandlerId::ReadFromOwnerForHome,
-            line, 0,
+            engine_idx, ownerHandler(excl, /*to_home=*/true), line, 0,
             excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-            [this, line, home, bus_txn, excl, retry](Exec &ex,
-                                                     Tick t) {
+            [this, line, excl, retry = item](Exec &ex, Tick t) {
                 if (ex.fetchFailed) {
                     // The copy evaporated between the probe and the
                     // fetch; try again from the top (the retry will
@@ -1113,15 +1260,15 @@ CoherenceController::executeBusItem(unsigned engine_idx,
                     // sharing writeback on the direct data path so
                     // the directory and memory stay truthful.
                     wbBuffer_[line] = WbEntry{ex.version};
-                    ++statDirectWBs;
-                    sendMsg(MsgType::SharingWB, line, home, node_,
-                            ex.version, /*retains=*/true, t);
+                    sendHome(MsgType::SharingWB, line, ex.version,
+                             /*retains=*/true, t, /*direct=*/true);
                 }
-                bus_.deferredRespond(bus_txn, ex.version, t);
+                bus_.deferredRespond(retry.busTxnId, ex.version, t);
             });
         return;
     }
 
+    // Open a requester-side transaction and ask the home.
     ReqPending rp;
     rp.excl = excl;
     rp.busTxns.push_back(item.busTxnId);
@@ -1140,8 +1287,241 @@ CoherenceController::executeBusItem(unsigned engine_idx,
 }
 
 // ---------------------------------------------------------------------
-// Protocol decisions: network messages
+// Protocol handlers: network messages
 // ---------------------------------------------------------------------
+
+void
+CoherenceController::homeRequest(unsigned engine_idx,
+                                 const DispatchItem &item)
+{
+    const Msg &msg = item.msg;
+    const Addr line = msg.lineAddr;
+    const bool excl = msg.type == MsgType::ReadExclReq;
+    const NodeId req = msg.requester;
+    const DirEntry &d = dir_.entry(line);
+
+    if (d.state == DirState::DirtyRemote && d.owner == req) {
+        if (msg.recoveryResend) {
+            // The recorded owner lost its grant (a crash killed its
+            // in-flight fill, or the reply died with our own card)
+            // and is asking again: re-grant from memory, which still
+            // holds the last version the owner ever confirmed.
+            grantFromMemory(engine_idx, item,
+                            excl ? HandlerId::RemoteReadExclToHomeUncached
+                                 : HandlerId::RemoteReadToHomeClean,
+                            /*join=*/false);
+            return;
+        }
+        // The request raced ahead of the fill that made the
+        // requester the owner. Bounce it back; the requester serves
+        // it within its node.
+        beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                     CcBusOp::None, [this, line, req](Exec &, Tick t) {
+                         sendMsg(MsgType::HomeNack, line, req, req, 0,
+                                 false, t);
+                         drainHomeWaiting(line, t);
+                     });
+        return;
+    }
+    if (d.state == DirState::DirtyRemote) {
+        const NodeId owner = d.owner;
+        openHomeTxn(item);
+        beginHandler(engine_idx,
+                     excl ? HandlerId::RemoteReadExclToHomeDirty
+                          : HandlerId::RemoteReadToHomeDirtyRemote,
+                     line, 0, CcBusOp::None,
+                     [this, line, owner, req, excl](Exec &, Tick t) {
+                         sendMsg(excl ? MsgType::FwdReadExcl
+                                      : MsgType::FwdRead,
+                                 line, owner, req, 0, false, t);
+                     });
+        return;
+    }
+    // Clean at home, possibly with remote sharers: a read just joins
+    // them; a read-exclusive invalidates every other sharer first.
+    if (!excl) {
+        grantFromMemory(engine_idx, item,
+                        HandlerId::RemoteReadToHomeClean);
+        return;
+    }
+    std::vector<NodeId> targets = sharersBut(d, req);
+    if (targets.empty()) {
+        grantFromMemory(engine_idx, item,
+                        HandlerId::RemoteReadExclToHomeUncached);
+        return;
+    }
+    collectAcks(engine_idx, item, HandlerId::RemoteReadExclToHomeShared,
+                std::move(targets));
+}
+
+void
+CoherenceController::grantFromMemory(unsigned engine_idx,
+                                     const DispatchItem &item,
+                                     HandlerId h, bool join)
+{
+    const Addr line = item.lineAddr;
+    const NodeId req = item.msg.requester;
+    const bool excl = item.msg.type == MsgType::ReadExclReq;
+    openHomeTxn(item);
+    beginHandler(
+        engine_idx, h, line, 0,
+        excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
+        [this, line, req, excl, join](Exec &ex, Tick t) {
+            ccnuma_assert(!ex.fetchFailed);
+            sendMsg(excl ? MsgType::DataExclReply : MsgType::DataReply,
+                    line, req, req, ex.version, false, t);
+            if (excl) {
+                dirOwner(line, req, t);
+            } else {
+                const std::uint64_t others =
+                    join ? dir_.entry(line).sharers : 0;
+                dirShared(line, others | sharerBit(req), t);
+            }
+            closeHomeTxn(line, t);
+        });
+}
+
+void
+CoherenceController::ownerForward(unsigned engine_idx, const Msg &msg)
+{
+    // We are (or were) the owner of a remote line.
+    const Addr line = msg.lineAddr;
+    const bool excl = msg.type == MsgType::FwdReadExcl;
+    const NodeId home = msg.src;
+    const HandlerId h = ownerHandler(excl, msg.requester == home);
+    if (probe_ == nullptr || !probe_->lineCachedLocally(line)) {
+        auto wb = wbBuffer_.find(line);
+        if (wb == wbBuffer_.end()) {
+            // Neither cached nor buffered: stale forward; the home
+            // retries after our writeback lands.
+            beginHandler(engine_idx, ownerHandler(excl, true), line, 0,
+                         CcBusOp::None,
+                         [this, line, home](Exec &, Tick t) {
+                             sendMsg(MsgType::OwnerNack, line, home,
+                                     node_, 0, false, t);
+                         });
+            return;
+        }
+        // The line left our caches entirely; its data is still in
+        // the controller's writeback buffer. Supply from there (no
+        // local copy is retained).
+        const std::uint64_t version = wb->second.version;
+        beginHandler(engine_idx, h, line, 0, CcBusOp::None,
+                     [this, msg, version](Exec &, Tick t) {
+                         ownerSupply(msg, version, false, t);
+                     });
+        return;
+    }
+    beginHandler(engine_idx, h, line, 0,
+                 excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
+                 [this, msg](Exec &ex, Tick t) {
+                     if (ex.fetchFailed) {
+                         // Lost a race with a local eviction; the home
+                         // retries once the writeback lands.
+                         sendMsg(MsgType::OwnerNack, msg.lineAddr,
+                                 msg.src, node_, 0, false, t);
+                         return;
+                     }
+                     ownerSupply(msg, ex.version, ex.fetchShared, t);
+                 });
+}
+
+void
+CoherenceController::ownerSupply(const Msg &fwd, std::uint64_t version,
+                                 bool retains, Tick t)
+{
+    const Addr line = fwd.lineAddr;
+    const NodeId home = fwd.src;
+    const NodeId req = fwd.requester;
+    const bool excl = fwd.type == MsgType::FwdReadExcl;
+    if (req == home) {
+        sendMsg(excl ? MsgType::OwnerDataExclToHome
+                     : MsgType::OwnerDataToHome,
+                line, home, req, version, retains && !excl, t);
+        return;
+    }
+    // Data straight to the remote requester; the home learns of it
+    // from an ownership ack (read-exclusive) or a sharing writeback
+    // (read).
+    sendMsg(excl ? MsgType::DataExclReply : MsgType::DataReply, line,
+            req, req, version, false, t);
+    if (excl)
+        sendMsg(MsgType::OwnershipAck, line, home, req, 0, false, t);
+    else
+        sendMsg(MsgType::SharingWB, line, home, req, version, retains, t);
+}
+
+void
+CoherenceController::sharerInval(unsigned engine_idx, const Msg &msg)
+{
+    const Addr line = msg.lineAddr;
+    const NodeId home = msg.src;
+    beginHandler(engine_idx, HandlerId::InvalRequestAtSharer, line, 0,
+                 CcBusOp::InvalOnly, [this, line, home](Exec &, Tick t) {
+                     sendMsg(MsgType::InvalAck, line, home, node_, 0,
+                             false, t);
+                 });
+}
+
+void
+CoherenceController::invalAck(unsigned engine_idx, const Msg &msg)
+{
+    const Addr line = msg.lineAddr;
+    HomeTxn &txn = homeBusy_.at(line);
+    ccnuma_assert(txn.acksExpected > 0);
+    if (--txn.acksExpected > 0) {
+        beginHandler(engine_idx, HandlerId::InvalAckMoreExpected, line,
+                     0, CcBusOp::None, nullptr);
+        return;
+    }
+    // The last ack: the data fetched at the home goes to the
+    // requester, which becomes the only holder.
+    const HomeTxn done = txn;
+    beginHandler(engine_idx,
+                 done.localRequest ? HandlerId::InvalAckLastLocal
+                                   : HandlerId::InvalAckLastRemote,
+                 line, 0, CcBusOp::None,
+                 [this, line, done](Exec &, Tick t) {
+                     ccnuma_assert(done.haveData);
+                     if (done.localRequest) {
+                         bus_.deferredRespond(done.busTxnId,
+                                              done.dataVersion, t);
+                         dirHome(line, t);
+                     } else {
+                         sendMsg(MsgType::DataExclReply, line,
+                                 done.requester, done.requester,
+                                 done.dataVersion, false, t);
+                         dirOwner(line, done.requester, t);
+                     }
+                     closeHomeTxn(line, t);
+                 });
+}
+
+void
+CoherenceController::requesterData(unsigned engine_idx, const Msg &msg)
+{
+    const Addr line = msg.lineAddr;
+    const bool excl = msg.type == MsgType::DataExclReply;
+    const std::uint64_t version = msg.version;
+    // An exclusive grant whose request was parked behind an earlier
+    // read transaction may find Shared copies that local fills
+    // re-established after the upgrade's original bus snoop; they
+    // must die before the Modified fill (the home only invalidates
+    // REMOTE sharers). In the unconflicted path no local copy can
+    // exist here — the requester dropped its own copy at miss issue
+    // and the snoop killed the rest — so the extra bus invalidation
+    // never fires.
+    const bool stale_local = excl && probe_ != nullptr &&
+                             probe_->lineCachedLocally(line);
+    beginHandler(engine_idx,
+                 excl ? HandlerId::DataReplyForRemoteReadExcl
+                      : HandlerId::DataReplyForRemoteRead,
+                 line, 0,
+                 stale_local ? CcBusOp::InvalOnly : CcBusOp::None,
+                 [this, line, version](Exec &, Tick t) {
+                     completeRequesterFill(line, version, t);
+                 });
+}
 
 void
 CoherenceController::completeRequesterFill(Addr line_addr,
@@ -1161,786 +1541,224 @@ CoherenceController::completeRequesterFill(Addr line_addr,
     if (conflicting.empty())
         return;
     eq_.scheduleFunction(
-        [this, conflicting] {
-            for (auto rit = conflicting.rbegin();
-                 rit != conflicting.rend(); ++rit) {
-                enqueue(QBusRequest, *rit, /*to_front=*/true);
-            }
-        },
-        t);
+        [this, conflicting] { requeueFront(conflicting); }, t);
 }
 
 void
-CoherenceController::executeNetItem(unsigned engine_idx,
-                                    DispatchItem &item)
+CoherenceController::ownerDataToHome(unsigned engine_idx,
+                                     const Msg &msg)
 {
-    const Msg msg = item.msg;
+    // The owner answered a forward for a local request: the data
+    // completes the deferred bus transaction.
     const Addr line = msg.lineAddr;
-    ccnuma_trace(line,
-                 "%8llu %s dispatch %s from node%u req=%u ver=%llu",
-                 (unsigned long long)eq_.curTick(), name_.c_str(),
-                 msgTypeName(msg.type), msg.src, msg.requester,
-                 (unsigned long long)msg.version);
+    const bool excl = msg.type == MsgType::OwnerDataExclToHome;
+    const HomeTxn &txn = homeBusy_.at(line);
+    ccnuma_assert(txn.localRequest && txn.excl == excl);
+    retries_.clear(line); // forward finally answered
+    const std::uint64_t bus_txn = txn.busTxnId;
+    beginHandler(engine_idx,
+                 excl ? HandlerId::OwnerDataToHomeReadExcl
+                      : HandlerId::OwnerDataToHomeRead,
+                 line, 0, CcBusOp::None,
+                 [this, msg, excl, bus_txn](Exec &, Tick t) {
+                     const Addr l = msg.lineAddr;
+                     bus_.deferredRespond(bus_txn, msg.version, t);
+                     if (excl) {
+                         dirHome(l, t);
+                     } else {
+                         // Memory reflects the owner's data (posted
+                         // write riding the same transfer).
+                         writeHomeMemory(l, msg.version, t);
+                         if (msg.ownerRetains)
+                             dirShared(l, sharerBit(msg.src), t);
+                         else
+                             dirHome(l, t);
+                     }
+                     closeHomeTxn(l, t);
+                 });
+}
 
-    switch (msg.type) {
-      case MsgType::ReadReq:
-      case MsgType::ReadExclReq: {
-        // We are the home node.
-        if (state_ == CcState::Recovering) {
-            // The directory is being rebuilt; nothing it says about
-            // this line can be trusted yet. Bounce the request with
-            // a distinct nack so the requester's bounded-retry
-            // policy re-presents it after the rebuild.
-            const NodeId req = msg.requester;
-            ++statRecoveryNacks;
-            beginHandler(
-                engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-                CcBusOp::None,
-                [this, line, req](Exec &, Tick t) {
-                    sendMsg(MsgType::RecoveryNack, line, req, req, 0,
-                            false, t);
-                });
-            return;
-        }
-        if (isLineDead(line)) {
-            // The line's only up-to-date copy was consumed by an
-            // uncorrectable error: fence the requester off the dead
-            // data with a terminal nack (no retry will ever help).
-            const NodeId req = msg.requester;
-            ++statPoisonNacks;
-            if (tracer_) {
-                tracer_->faultEvent(obs::FaultKind::Poison, node_,
-                                    line, eq_.curTick());
-            }
-            beginHandler(
-                engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-                CcBusOp::None,
-                [this, line, req](Exec &, Tick t) {
-                    sendMsg(MsgType::PoisonNack, line, req, req, 0,
-                            false, t);
-                });
-            return;
-        }
-        if (homeBusy_.count(line)) {
-            parkAtHome(engine_idx, item);
-            return;
-        }
-        const bool excl = msg.type == MsgType::ReadExclReq;
-        const NodeId req = msg.requester;
-        DirEntry &d = dir_.entry(line);
-
-        if (d.state == DirState::DirtyRemote && d.owner == req &&
-            msg.recoveryResend) {
-            // The recorded owner lost its grant (a crash killed its
-            // in-flight fill, or the reply died with our own card)
-            // and is asking again: re-grant from memory, which still
-            // holds the last version the owner ever confirmed.
-            HomeTxn txn;
-            txn.requester = req;
-            txn.excl = excl;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx,
-                excl ? HandlerId::RemoteReadExclToHomeUncached
-                     : HandlerId::RemoteReadToHomeClean,
-                line, 0,
-                excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-                [this, line, req, excl](Exec &ex, Tick t) {
-                    ccnuma_assert(!ex.fetchFailed);
-                    sendMsg(excl ? MsgType::DataExclReply
-                                 : MsgType::DataReply,
-                            line, req, req, ex.version, false, t);
-                    DirEntry &e = dir_.entry(line);
-                    if (excl) {
-                        e.state = DirState::DirtyRemote;
-                        e.owner = req;
-                        e.sharers = 0;
-                    } else {
-                        e.state = DirState::SharedRemote;
-                        e.sharers = 0;
-                        e.addSharer(req);
-                    }
-                    dir_.scheduleWrite(line, t);
-                    closeHomeTxn(line, t);
-                });
-            return;
-        }
-
-        if (d.state == DirState::DirtyRemote && d.owner != req) {
-            NodeId owner = d.owner;
-            HomeTxn txn;
-            txn.requester = req;
-            txn.excl = excl;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx,
-                excl ? HandlerId::RemoteReadExclToHomeDirty
-                     : HandlerId::RemoteReadToHomeDirtyRemote,
-                line, 0, CcBusOp::None,
-                [this, line, owner, req, excl](Exec &, Tick t) {
-                    sendMsg(excl ? MsgType::FwdReadExcl
-                                 : MsgType::FwdRead,
-                            line, owner, req, 0, false, t);
-                });
-            return;
-        }
-        if (d.state == DirState::DirtyRemote) {
-            // The requester is the recorded owner: its request raced
-            // ahead of the fill that made it the owner. Bounce it
-            // back; the requester serves it within its node.
-            beginHandler(engine_idx, HandlerId::OwnerNackAtHome,
-                         line, 0, CcBusOp::None,
-                         [this, line, req](Exec &, Tick t) {
-                             sendMsg(MsgType::HomeNack, line, req,
-                                     req, 0, false, t);
-                             drainHomeWaiting(line, t);
-                         });
-            return;
-        }
-
-        if (!excl) {
-            // Clean at home (possibly with remote sharers).
-            HomeTxn txn;
-            txn.requester = req;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx, HandlerId::RemoteReadToHomeClean, line, 0,
-                CcBusOp::FetchRead,
-                [this, line, req](Exec &ex, Tick t) {
-                    ccnuma_assert(!ex.fetchFailed);
-                    sendMsg(MsgType::DataReply, line, req, req,
-                            ex.version, false, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::SharedRemote;
-                    e.addSharer(req);
-                    dir_.scheduleWrite(line, t);
-                    closeHomeTxn(line, t);
-                });
-            return;
-        }
-
-        // Read-exclusive at home.
-        std::vector<NodeId> targets;
-        if (d.state == DirState::SharedRemote) {
-            for (NodeId n = 0; n < map_.numNodes(); ++n) {
-                if (d.isSharer(n) && n != req)
-                    targets.push_back(n);
-            }
-        }
-        if (targets.empty()) {
-            HomeTxn txn;
-            txn.requester = req;
-            txn.excl = true;
-            txn.original = item;
-            homeBusy_[line] = txn;
-            beginHandler(
-                engine_idx, HandlerId::RemoteReadExclToHomeUncached,
-                line, 0, CcBusOp::FetchReadExcl,
-                [this, line, req](Exec &ex, Tick t) {
-                    ccnuma_assert(!ex.fetchFailed);
-                    sendMsg(MsgType::DataExclReply, line, req, req,
-                            ex.version, false, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::DirtyRemote;
-                    e.owner = req;
-                    e.sharers = 0;
-                    dir_.scheduleWrite(line, t);
-                    closeHomeTxn(line, t);
-                });
-            return;
-        }
-        HomeTxn txn;
-        txn.requester = req;
-        txn.excl = true;
-        txn.acksExpected = static_cast<unsigned>(targets.size());
-        txn.original = item;
-        homeBusy_[line] = txn;
-        beginHandler(
-            engine_idx, HandlerId::RemoteReadExclToHomeShared, line,
-            static_cast<int>(targets.size()), CcBusOp::FetchReadExcl,
-            [this, line, targets](Exec &ex, Tick t) {
-                auto hb = homeBusy_.find(line);
-                ccnuma_assert(hb != homeBusy_.end());
-                hb->second.dataVersion = ex.version;
-                hb->second.haveData = true;
-                for (NodeId n : targets)
-                    sendMsg(MsgType::InvalReq, line, n, node_, 0,
-                            false, t);
-            });
+void
+CoherenceController::sharingWriteBack(unsigned engine_idx,
+                                      const Msg &msg)
+{
+    const Addr line = msg.lineAddr;
+    auto hb = homeBusy_.find(line);
+    const DirEntry &d = dir_.entry(line);
+    // A sharing writeback closing a forwarded read carries the
+    // remote requester's id; a spontaneous demotion writeback
+    // carries the sender's own id. Only the former completes the
+    // active home transaction.
+    const bool closes = hb != homeBusy_.end() && !hb->second.excl &&
+                        !hb->second.localRequest &&
+                        msg.requester != msg.src &&
+                        msg.requester == hb->second.requester;
+    if (!closes) {
+        absorbWriteBack(engine_idx, HandlerId::SharingWriteBackAtHome,
+                        msg, d);
         return;
-      }
-
-      case MsgType::FwdRead:
-      case MsgType::FwdReadExcl: {
-        // We are (or were) the owner of a remote line.
-        const bool excl = msg.type == MsgType::FwdReadExcl;
-        const NodeId home = msg.src;
-        const NodeId req = msg.requester;
-        const bool to_home = req == home;
-
-        const bool cached =
-            probe_ != nullptr && probe_->lineCachedLocally(line);
-        if (!cached) {
-            if (auto wb = wbBuffer_.find(line);
-                wb != wbBuffer_.end()) {
-                // The line left our caches entirely; its data is
-                // still in the controller's writeback buffer.
-                // Supply from there (no local copy is retained).
-                std::uint64_t version = wb->second.version;
-                beginHandler(
-                    engine_idx,
-                    excl ? (to_home
-                                ? HandlerId::ReadExclFromOwnerForHome
-                                : HandlerId::
-                                      ReadExclFromOwnerForRemote)
-                         : (to_home
-                                ? HandlerId::ReadFromOwnerForHome
-                                : HandlerId::ReadFromOwnerForRemote),
-                    line, 0, CcBusOp::None,
-                    [this, line, home, req, excl, to_home,
-                     version](Exec &, Tick t) {
-                        if (excl) {
-                            if (to_home) {
-                                sendMsg(
-                                    MsgType::OwnerDataExclToHome,
-                                    line, home, req, version, false,
-                                    t);
-                            } else {
-                                sendMsg(MsgType::DataExclReply,
-                                        line, req, req, version,
-                                        false, t);
-                                sendMsg(MsgType::OwnershipAck, line,
-                                        home, req, 0, false, t);
-                            }
-                        } else {
-                            if (to_home) {
-                                sendMsg(MsgType::OwnerDataToHome,
-                                        line, home, req, version,
-                                        false, t);
-                            } else {
-                                sendMsg(MsgType::DataReply, line,
-                                        req, req, version, false,
-                                        t);
-                                sendMsg(MsgType::SharingWB, line,
-                                        home, req, version, false,
-                                        t);
-                            }
-                        }
-                    });
-                return;
-            }
-            // Neither cached nor buffered: stale forward; the home
-            // retries after our writeback lands.
-            beginHandler(engine_idx,
-                         excl ? HandlerId::ReadExclFromOwnerForHome
-                              : HandlerId::ReadFromOwnerForHome,
-                         line, 0, CcBusOp::None,
-                         [this, line, home](Exec &, Tick t) {
-                             sendMsg(MsgType::OwnerNack, line, home,
-                                     node_, 0, false, t);
-                         });
-            return;
-        }
-
-        beginHandler(
-            engine_idx,
-            excl ? (to_home ? HandlerId::ReadExclFromOwnerForHome
-                            : HandlerId::ReadExclFromOwnerForRemote)
-                 : (to_home ? HandlerId::ReadFromOwnerForHome
-                            : HandlerId::ReadFromOwnerForRemote),
-            line, 0,
-            excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-            [this, line, home, req, excl, to_home](Exec &ex, Tick t) {
-                if (ex.fetchFailed) {
-                    // Lost a race with a local eviction; the home
-                    // retries once the writeback lands.
-                    sendMsg(MsgType::OwnerNack, line, home, node_, 0,
-                            false, t);
-                    return;
-                }
-                if (excl) {
-                    if (to_home) {
-                        sendMsg(MsgType::OwnerDataExclToHome, line,
-                                home, req, ex.version, false, t);
-                    } else {
-                        sendMsg(MsgType::DataExclReply, line, req,
-                                req, ex.version, false, t);
-                        sendMsg(MsgType::OwnershipAck, line, home,
-                                req, 0, false, t);
-                    }
-                } else {
-                    bool retains = ex.fetchShared;
-                    if (to_home) {
-                        sendMsg(MsgType::OwnerDataToHome, line, home,
-                                req, ex.version, retains, t);
-                    } else {
-                        sendMsg(MsgType::DataReply, line, req, req,
-                                ex.version, false, t);
-                        sendMsg(MsgType::SharingWB, line, home, req,
-                                ex.version, retains, t);
-                    }
-                }
-            });
-        return;
-      }
-
-      case MsgType::InvalReq: {
-        const NodeId home = msg.src;
-        beginHandler(engine_idx, HandlerId::InvalRequestAtSharer,
-                     line, 0, CcBusOp::InvalOnly,
-                     [this, line, home](Exec &, Tick t) {
-                         sendMsg(MsgType::InvalAck, line, home,
-                                 node_, 0, false, t);
-                     });
-        return;
-      }
-
-      case MsgType::InvalAck: {
-        auto hb = homeBusy_.find(line);
-        if (hb == homeBusy_.end() && strayDrop("InvalAck")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(hb != homeBusy_.end());
-        ccnuma_assert(hb->second.acksExpected > 0);
-        if (--hb->second.acksExpected > 0) {
-            beginHandler(engine_idx, HandlerId::InvalAckMoreExpected,
-                         line, 0, CcBusOp::None, nullptr);
-            return;
-        }
-        HomeTxn txn = hb->second;
-        if (txn.localRequest) {
-            beginHandler(
-                engine_idx, HandlerId::InvalAckLastLocal, line, 0,
-                CcBusOp::None,
-                [this, line, txn](Exec &, Tick t) {
-                    ccnuma_assert(txn.haveData);
-                    bus_.deferredRespond(txn.busTxnId,
-                                         txn.dataVersion, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::Home;
-                    e.sharers = 0;
-                    dir_.scheduleWrite(line, t);
-                    closeHomeTxn(line, t);
-                });
-        } else {
-            beginHandler(
-                engine_idx, HandlerId::InvalAckLastRemote, line, 0,
-                CcBusOp::None,
-                [this, line, txn](Exec &, Tick t) {
-                    ccnuma_assert(txn.haveData);
-                    sendMsg(MsgType::DataExclReply, line,
-                            txn.requester, txn.requester,
-                            txn.dataVersion, false, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::DirtyRemote;
-                    e.owner = txn.requester;
-                    e.sharers = 0;
-                    dir_.scheduleWrite(line, t);
-                    closeHomeTxn(line, t);
-                });
-        }
-        return;
-      }
-
-      case MsgType::DataReply:
-      case MsgType::DataExclReply: {
-        if (!reqPending_.count(line) && strayDrop("data reply")) {
-            // The requester state died in a crash; the replayed
-            // request will be re-granted (Msg::recoveryResend).
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        const bool excl = msg.type == MsgType::DataExclReply;
-        std::uint64_t version = msg.version;
-        // An exclusive grant whose request was parked behind an
-        // earlier read transaction may find Shared copies that local
-        // fills re-established after the upgrade's original bus
-        // snoop; they must die before the Modified fill (the home
-        // only invalidates REMOTE sharers). In the unconflicted path
-        // no local copy can exist here — the requester dropped its
-        // own copy at miss issue and the snoop killed the rest — so
-        // the extra bus invalidation never fires.
-        const bool stale_local = excl && probe_ != nullptr &&
-                                 probe_->lineCachedLocally(line);
-        beginHandler(
-            engine_idx,
-            excl ? HandlerId::DataReplyForRemoteReadExcl
-                 : HandlerId::DataReplyForRemoteRead,
-            line, 0,
-            stale_local ? CcBusOp::InvalOnly : CcBusOp::None,
-            [this, line, version](Exec &, Tick t) {
-                completeRequesterFill(line, version, t);
-            });
-        return;
-      }
-
-      case MsgType::OwnerDataToHome: {
-        auto hb = homeBusy_.find(line);
-        if (hb == homeBusy_.end() && strayDrop("OwnerDataToHome")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.localRequest && !txn.excl);
-        retries_.clear(line); // forward finally answered
-
-        NodeId owner = msg.src;
-        bool retains = msg.ownerRetains;
-        std::uint64_t version = msg.version;
-        beginHandler(
-            engine_idx, HandlerId::OwnerDataToHomeRead, line, 0,
-            CcBusOp::None,
-            [this, line, txn, owner, retains, version](Exec &,
-                                                       Tick t) {
-                bus_.deferredRespond(txn.busTxnId, version, t);
-                // Memory reflects the owner's data (posted write
-                // riding the same transfer).
-                writeHomeMemory(line, version, t);
-                DirEntry &e = dir_.entry(line);
-                if (retains) {
-                    e.state = DirState::SharedRemote;
-                    e.sharers = 0;
-                    e.addSharer(owner);
-                } else {
-                    e.state = DirState::Home;
-                    e.sharers = 0;
-                }
-                dir_.scheduleWrite(line, t);
-                closeHomeTxn(line, t);
-            });
-        return;
-      }
-
-      case MsgType::OwnerDataExclToHome: {
-        auto hb = homeBusy_.find(line);
-        if (hb == homeBusy_.end() &&
-            strayDrop("OwnerDataExclToHome")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.localRequest && txn.excl);
-        retries_.clear(line); // forward finally answered
-
-        std::uint64_t version = msg.version;
-        beginHandler(
-            engine_idx, HandlerId::OwnerDataToHomeReadExcl, line, 0,
-            CcBusOp::None,
-            [this, line, txn, version](Exec &, Tick t) {
-                bus_.deferredRespond(txn.busTxnId, version, t);
-                DirEntry &e = dir_.entry(line);
-                e.state = DirState::Home;
-                e.sharers = 0;
-                dir_.scheduleWrite(line, t);
-                closeHomeTxn(line, t);
-            });
-        return;
-      }
-
-      case MsgType::SharingWB: {
-        if (state_ == CcState::Recovering) {
-            // The owner/sharer picture is still being rebuilt; hold
-            // the writeback until the directory can judge whether it
-            // applies. The sender's buffer entry stays reserved
-            // until we ack, preserving request-follows-writeback
-            // ordering across the outage.
-            rebuildParkedWb_.push_back(msg);
-            finishHandler(engine_idx,
-                          eq_.curTick() + params_.dispatchLatency);
-            return;
-        }
-        auto hb = homeBusy_.find(line);
-        DirEntry &d = dir_.entry(line);
-        const NodeId owner = msg.src;
-        // A sharing writeback closing a forwarded read carries the
-        // remote requester's id; a spontaneous demotion writeback
-        // carries the sender's own id. Only the former completes the
-        // active home transaction.
-        const bool closes = hb != homeBusy_.end() &&
-                            !hb->second.excl &&
-                            !hb->second.localRequest &&
-                            msg.requester != msg.src &&
-                            msg.requester == hb->second.requester;
-        if (closes) {
-            HomeTxn txn = hb->second;
-            bool retains = msg.ownerRetains;
-            std::uint64_t version = msg.version;
-            retries_.clear(line); // forward finally answered
-            beginHandler(
-                engine_idx,
-                HandlerId::OwnerWriteBackToHomeRemoteRead, line, 0,
-                CcBusOp::None,
-                [this, line, txn, owner, retains, version](Exec &,
-                                                           Tick t) {
-                    writeHomeMemory(line, version, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::SharedRemote;
-                    e.sharers = 0;
-                    e.addSharer(txn.requester);
-                    if (retains)
-                        e.addSharer(owner);
-                    dir_.scheduleWrite(line, t);
-                    sendMsg(MsgType::WriteBackAck, line, owner,
-                            owner, 0, false, t);
-                    closeHomeTxn(line, t);
-                });
-            return;
-        }
-        // Spontaneous demotion (local read of a dirty line at the
-        // owner). Apply only when the directory still records the
-        // sender as owner; otherwise the writeback is stale.
-        bool applies = d.state == DirState::DirtyRemote &&
-                       d.owner == owner;
-        bool retains = msg.ownerRetains;
-        std::uint64_t version = msg.version;
-        beginHandler(
-            engine_idx, HandlerId::SharingWriteBackAtHome, line, 0,
-            CcBusOp::None,
-            [this, line, owner, applies, retains, version](Exec &,
-                                                           Tick t) {
-                if (applies) {
-                    writeHomeMemory(line, version, t);
-                    DirEntry &e = dir_.entry(line);
-                    if (retains) {
-                        e.state = DirState::SharedRemote;
-                        e.sharers = 0;
-                        e.addSharer(owner);
-                    } else {
-                        e.state = DirState::Home;
-                        e.sharers = 0;
-                    }
-                    dir_.scheduleWrite(line, t);
-                }
-                sendMsg(MsgType::WriteBackAck, line, owner, owner, 0,
-                        false, t);
-            });
-        return;
-      }
-
-      case MsgType::OwnershipAck: {
-        auto hb = homeBusy_.find(line);
-        if (hb == homeBusy_.end() && strayDrop("OwnershipAck")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.excl && !txn.localRequest);
-        retries_.clear(line); // forward finally answered
-
-        beginHandler(
-            engine_idx, HandlerId::OwnerAckToHomeRemoteReadExcl, line,
-            0, CcBusOp::None,
-            [this, line, txn](Exec &, Tick t) {
-                DirEntry &e = dir_.entry(line);
-                e.state = DirState::DirtyRemote;
-                e.owner = txn.requester;
-                e.sharers = 0;
-                dir_.scheduleWrite(line, t);
-                closeHomeTxn(line, t);
-            });
-        return;
-      }
-
-      case MsgType::WriteBack: {
-        if (state_ == CcState::Recovering) {
-            rebuildParkedWb_.push_back(msg);
-            finishHandler(engine_idx,
-                          eq_.curTick() + params_.dispatchLatency);
-            return;
-        }
-        DirEntry &d = dir_.entry(line);
-        const NodeId owner = msg.src;
-        bool applies = d.state == DirState::DirtyRemote &&
-                       d.owner == owner;
-        std::uint64_t version = msg.version;
-        beginHandler(
-            engine_idx, HandlerId::WriteBackAtHome, line, 0,
-            CcBusOp::None,
-            [this, line, owner, applies, version](Exec &, Tick t) {
-                if (applies) {
-                    writeHomeMemory(line, version, t);
-                    DirEntry &e = dir_.entry(line);
-                    e.state = DirState::Home;
-                    e.sharers = 0;
-                    dir_.scheduleWrite(line, t);
-                }
-                sendMsg(MsgType::WriteBackAck, line, owner, owner, 0,
-                        false, t);
-            });
-        return;
-      }
-
-      case MsgType::WriteBackAck:
-        // Handled without dispatch in netReceive.
-        panic("cc %s: WriteBackAck reached the dispatch path",
-              name_.c_str());
-
-      case MsgType::HomeNack:
-      case MsgType::RecoveryNack: {
-        // HomeNack: our request raced ahead of our own ownership
-        // fill; redo it from the top (the local probe will now find
-        // the copy, or the retry will stall behind the writeback
-        // buffer). RecoveryNack: the home fenced us out while it
-        // rebuilds its directory; same teardown-and-retry, so the
-        // bounded backoff naturally rides out the rebuild. Under a
-        // bounded retry policy the re-attempt backs off
-        // exponentially and eventually escalates.
-        if (!reqPending_.count(line) && strayDrop("nack")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(reqPending_.count(line));
-        const Tick backoff = retryDelay(
-            line, msg.type == MsgType::RecoveryNack
-                      ? "request nacked by a recovering home"
-                      : "home-nacked request");
-        beginHandler(
-            engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-            CcBusOp::None,
-            [this, line, backoff](Exec &, Tick t) {
-                auto it = reqPending_.find(line);
-                ccnuma_assert(it != reqPending_.end());
-                ReqPending rp = std::move(it->second);
-                reqPending_.erase(it);
-                eq_.scheduleFunction(
-                    [this, line, rp] {
-                        for (auto cit = rp.conflicting.rbegin();
-                             cit != rp.conflicting.rend(); ++cit) {
-                            enqueue(QBusRequest, *cit,
-                                    /*to_front=*/true);
-                        }
-                        for (auto tit = rp.busTxns.rbegin();
-                             tit != rp.busTxns.rend(); ++tit) {
-                            DispatchItem item;
-                            item.isBus = true;
-                            item.busTxnId = *tit;
-                            item.lineAddr = line;
-                            item.busCmd = rp.excl
-                                              ? BusCmd::ReadExcl
-                                              : BusCmd::Read;
-                            enqueue(QBusRequest, item,
-                                    /*to_front=*/true);
-                        }
-                    },
-                    t + backoff);
-            });
-        return;
-      }
-
-      case MsgType::PoisonNack: {
-        // The home fenced us off a dead line: the data is gone for
-        // good and no retry will resurrect it. Tear down everything
-        // pending on the line, let the machine's poison fence kill
-        // the processors blocked on it, and complete the deferred
-        // bus transactions with a dummy response so the bus drains
-        // (the cache units drop them via their poison-abort lists).
-        auto it = reqPending_.find(line);
-        if (it == reqPending_.end() && strayDrop("PoisonNack")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ccnuma_assert(it != reqPending_.end());
-        ReqPending rp = std::move(it->second);
-        reqPending_.erase(it);
-        missLadders_.erase(line);
-        retries_.clear(line);
-        beginHandler(
-            engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-            CcBusOp::None,
-            [this, line, rp](Exec &, Tick t) {
-                if (poisonFence_)
-                    poisonFence_(line);
-                for (std::uint64_t txn : rp.busTxns)
-                    bus_.deferredRespond(txn, 0, t);
-                for (const auto &c : rp.conflicting) {
-                    if (c.busTxnId != 0)
-                        bus_.deferredRespond(c.busTxnId, 0, t);
-                }
-            });
-        return;
-      }
-
-      case MsgType::OwnerNack: {
-        auto hb = homeBusy_.find(line);
-        if (hb == homeBusy_.end() && strayDrop("OwnerNack")) {
-            finishHandler(engine_idx, eq_.curTick());
-            return;
-        }
-        ++statNacks;
-        ccnuma_assert(hb != homeBusy_.end());
-        DispatchItem original = hb->second.original;
-        const Tick backoff = retryDelay(line, "owner-nacked forward");
-        beginHandler(
-            engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-            CcBusOp::None,
-            [this, line, original, backoff](Exec &, Tick t) {
-                closeHomeTxn(line, t);
-                eq_.scheduleFunction(
-                    [this, original] {
-                        DispatchItem item = original;
-                        enqueue(item.isBus ? QBusRequest
-                                           : QNetRequest,
-                                item, /*to_front=*/true);
-                    },
-                    t + backoff);
-            });
-        return;
-      }
-
-      case MsgType::DirProbe: {
-        // A restarted home is rebuilding its directory: report every
-        // local copy of a line homed there.
-        const Msg m = msg;
-        beginHandler(engine_idx, HandlerId::DirProbeAtSharer, line, 0,
-                     CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
-                         answerDirProbe(m, t);
-                     });
-        return;
-      }
-
-      case MsgType::DirProbeResp: {
-        const Msg m = msg;
-        beginHandler(engine_idx, HandlerId::DirProbeRespAtHome, line,
-                     0, CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
-                         applyProbeResp(m);
-                         dir_.scheduleWrite(m.lineAddr, t);
-                         maybeAdvanceRebuild(t);
-                     });
-        return;
-      }
-
-      case MsgType::DirProbeDone: {
-        const Msg m = msg;
-        beginHandler(
-            engine_idx, HandlerId::DirProbeRespAtHome, line, 0,
-            CcBusOp::None,
-            [this, m](Exec &, Tick t) {
-                ccnuma_assert(state_ == CcState::Recovering);
-                ccnuma_assert(probeDonesOutstanding_ > 0);
-                --probeDonesOutstanding_;
-                probeRespsExpected_ += m.version;
-                maybeAdvanceRebuild(t);
-            });
-        return;
-      }
-
-      case MsgType::RecoveryProbe:
-      case MsgType::RecoveryProbeAck:
-        // Answered below dispatch in netReceive.
-        panic("cc %s: %s reached the dispatch path", name_.c_str(),
-              msgTypeName(msg.type));
     }
-    panic("cc %s: unhandled message type %s", name_.c_str(),
-          msgTypeName(msg.type));
+    const NodeId req = hb->second.requester;
+    retries_.clear(line); // forward finally answered
+    beginHandler(
+        engine_idx, HandlerId::OwnerWriteBackToHomeRemoteRead, line, 0,
+        CcBusOp::None, [this, msg, req](Exec &, Tick t) {
+            const Addr l = msg.lineAddr;
+            const NodeId owner = msg.src;
+            writeHomeMemory(l, msg.version, t);
+            dirShared(l,
+                      sharerBit(req) |
+                          (msg.ownerRetains ? sharerBit(owner) : 0),
+                      t);
+            sendMsg(MsgType::WriteBackAck, l, owner, owner, 0, false,
+                    t);
+            closeHomeTxn(l, t);
+        });
+}
+
+void
+CoherenceController::absorbWriteBack(unsigned engine_idx, HandlerId h,
+                                     const Msg &msg, const DirEntry &d)
+{
+    // An eviction, or a spontaneous demotion (a local read of a dirty
+    // line at the owner). Apply it only while the directory still
+    // records the sender as owner; otherwise it is stale. Either way
+    // the sender's writeback buffer entry is released.
+    const bool applies =
+        d.state == DirState::DirtyRemote && d.owner == msg.src;
+    beginHandler(engine_idx, h, msg.lineAddr, 0, CcBusOp::None,
+                 [this, msg, applies](Exec &, Tick t) {
+                     const Addr l = msg.lineAddr;
+                     const NodeId owner = msg.src;
+                     if (applies) {
+                         writeHomeMemory(l, msg.version, t);
+                         if (msg.ownerRetains)
+                             dirShared(l, sharerBit(owner), t);
+                         else
+                             dirHome(l, t);
+                     }
+                     sendMsg(MsgType::WriteBackAck, l, owner, owner, 0,
+                             false, t);
+                 });
+}
+
+void
+CoherenceController::ownershipAck(unsigned engine_idx, const Msg &msg)
+{
+    const Addr line = msg.lineAddr;
+    const HomeTxn &txn = homeBusy_.at(line);
+    ccnuma_assert(txn.excl && !txn.localRequest);
+    retries_.clear(line); // forward finally answered
+    const NodeId req = txn.requester;
+    beginHandler(engine_idx, HandlerId::OwnerAckToHomeRemoteReadExcl,
+                 line, 0, CcBusOp::None,
+                 [this, line, req](Exec &, Tick t) {
+                     dirOwner(line, req, t);
+                     closeHomeTxn(line, t);
+                 });
+}
+
+void
+CoherenceController::requestNacked(unsigned engine_idx, const Msg &msg)
+{
+    // HomeNack: our request raced ahead of our own ownership fill;
+    // redo it from the top (the local probe will now find the copy,
+    // or the retry will stall behind the writeback buffer).
+    // RecoveryNack: the home fenced us out while it rebuilds its
+    // directory; same teardown-and-retry, so the bounded backoff
+    // naturally rides out the rebuild. Under a bounded retry policy
+    // the re-attempt backs off exponentially and eventually
+    // escalates.
+    const Addr line = msg.lineAddr;
+    const Tick backoff = retryDelay(
+        line, msg.type == MsgType::RecoveryNack
+                  ? "request nacked by a recovering home"
+                  : "home-nacked request");
+    beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                 CcBusOp::None, [this, line, backoff](Exec &, Tick t) {
+                     auto it = reqPending_.find(line);
+                     ccnuma_assert(it != reqPending_.end());
+                     std::deque<DispatchItem> items =
+                         pendingItems(line, it->second);
+                     reqPending_.erase(it);
+                     eq_.scheduleFunction(
+                         [this, items] { requeueFront(items); },
+                         t + backoff);
+                 });
+}
+
+void
+CoherenceController::poisonNacked(unsigned engine_idx, const Msg &msg)
+{
+    // The home fenced us off a dead line: the data is gone for good
+    // and no retry will resurrect it. Tear down everything pending on
+    // the line, let the machine's poison fence kill the processors
+    // blocked on it, and complete the deferred bus transactions with
+    // a dummy response so the bus drains (the cache units drop them
+    // via their poison-abort lists).
+    const Addr line = msg.lineAddr;
+    auto it = reqPending_.find(line);
+    const std::deque<DispatchItem> items = pendingItems(line, it->second);
+    reqPending_.erase(it);
+    missLadders_.erase(line);
+    retries_.clear(line);
+    beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                 CcBusOp::None, [this, line, items](Exec &, Tick t) {
+                     if (poisonFence_)
+                         poisonFence_(line);
+                     for (const auto &item : items)
+                         bus_.deferredRespond(item.busTxnId, 0, t);
+                 });
+}
+
+void
+CoherenceController::ownerNacked(unsigned engine_idx, const Msg &msg)
+{
+    // The owner no longer had the line (its writeback is in flight):
+    // close the transaction and re-present the original request.
+    const Addr line = msg.lineAddr;
+    ++statNacks;
+    const DispatchItem original = homeBusy_.at(line).original;
+    const Tick backoff = retryDelay(line, "owner-nacked forward");
+    beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
+                 CcBusOp::None,
+                 [this, line, original, backoff](Exec &, Tick t) {
+                     closeHomeTxn(line, t);
+                     eq_.scheduleFunction(
+                         [this, original] {
+                             enqueue(queueOf(original), original,
+                                     /*to_front=*/true);
+                         },
+                         t + backoff);
+                 });
+}
+
+void
+CoherenceController::dirProbe(unsigned engine_idx, const Msg &msg)
+{
+    // A restarted home is rebuilding its directory: report every
+    // local copy of a line homed there.
+    beginHandler(engine_idx, HandlerId::DirProbeAtSharer, msg.lineAddr,
+                 0, CcBusOp::None, [this, msg](Exec &, Tick t) {
+                     answerDirProbe(msg, t);
+                 });
+}
+
+void
+CoherenceController::dirProbeResponse(unsigned engine_idx,
+                                      const Msg &msg)
+{
+    beginHandler(engine_idx, HandlerId::DirProbeRespAtHome,
+                 msg.lineAddr, 0, CcBusOp::None,
+                 [this, msg](Exec &, Tick t) {
+                     if (msg.type == MsgType::DirProbeResp) {
+                         applyProbeResp(msg);
+                         dir_.scheduleWrite(msg.lineAddr, t);
+                     } else {
+                         applyProbeDone(msg);
+                     }
+                     maybeAdvanceRebuild(t);
+                 });
 }
 
 // ---------------------------------------------------------------------
@@ -1970,33 +1788,17 @@ CoherenceController::crash(bool lose_directory)
 
     // Collect everything this controller still owes an answer for:
     // local processor transactions awaiting a deferred response and
-    // home-side requests it accepted responsibility for. Network
-    // items are dropped — the transport re-delivers them after the
-    // fence lifts. Bus transaction ids dedup the sweep (one request
-    // can appear both in a transient map and in an engine).
+    // home-side requests it accepted responsibility for. A network
+    // item parks or drops per its msgTraits() row. Bus transaction
+    // ids dedup the sweep (one request can appear both in a
+    // transient map and in an engine).
     std::unordered_set<std::uint64_t> seen;
     auto keep = [&](const DispatchItem &it) {
         if (!it.isBus) {
-            // A frame the transport already delivered (and
-            // acknowledged) is never re-delivered, so anything whose
-            // sender waits indefinitely must be parked for replay:
-            // writebacks (the sender's buffer entry stays reserved
-            // until we ack) and home-issued forwards/invalidations
-            // (the home transaction blocks until we answer; homes
-            // run no retry timer). Plain requests are re-sent by the
-            // requester's miss ladder and stale responses by the
-            // recovery-resend path, so those are safely dropped.
-            switch (it.msg.type) {
-              case MsgType::WriteBack:
-              case MsgType::SharingWB:
-              case MsgType::FwdRead:
-              case MsgType::FwdReadExcl:
-              case MsgType::InvalReq:
+            if (msgTraits(it.msg.type).crash == OnCrash::Park)
                 crashReplay_.push_back(it);
-                break;
-              default:
+            else
                 ++statCrashDropped;
-            }
             return;
         }
         if (it.busTxnId != 0 && !seen.insert(it.busTxnId).second)
@@ -2006,23 +1808,15 @@ CoherenceController::crash(bool lose_directory)
         crashReplay_.push_back(r);
     };
 
-    for (auto &e : engines_) {
+    for (const auto &e : engines_) {
         if (e.curItemValid)
             keep(e.curItem);
-        e.busy = false;
-        e.curItemValid = false;
-        e.curLineValid = false;
-        e.curHandler = 0xff;
-        e.curExtraTargets = 0;
-        e.netBypass = 0;
-        e.stallStreak = 0;
-        for (auto &q : e.queues) {
-            for (auto &it : q)
+        for (const auto &q : e.queues) {
+            for (const auto &it : q)
                 keep(it);
-            q.clear();
         }
     }
-    for (auto &[line, hb] : homeBusy_) {
+    for (const auto &[line, hb] : homeBusy_) {
         // A local request still needs its bus response. A remote
         // requester's transaction is simply dropped: the requester's
         // miss timer resends it with Msg::recoveryResend set.
@@ -2031,36 +1825,19 @@ CoherenceController::crash(bool lose_directory)
         else
             ++statCrashDropped;
     }
-    homeBusy_.clear();
-    for (auto &[line, q] : homeWaiting_) {
-        for (auto &it : q)
+    for (const auto &[line, q] : homeWaiting_) {
+        for (const auto &it : q)
             keep(it);
     }
-    homeWaiting_.clear();
-    for (auto &[line, q] : wbWaiting_) {
-        for (auto &it : q)
+    for (const auto &[line, q] : wbWaiting_) {
+        for (const auto &it : q)
             keep(it);
     }
-    wbWaiting_.clear();
-    for (auto &[line, rp] : reqPending_) {
-        for (std::uint64_t txn : rp.busTxns) {
-            DispatchItem it;
-            it.isBus = true;
-            it.busTxnId = txn;
-            it.lineAddr = line;
-            it.busCmd = rp.excl ? BusCmd::ReadExcl : BusCmd::Read;
+    for (const auto &[line, rp] : reqPending_) {
+        for (const auto &it : pendingItems(line, rp))
             keep(it);
-        }
-        for (auto &c : rp.conflicting)
-            keep(c);
     }
-    reqPending_.clear();
-    deferredLocal_.clear();
-    fetches_.clear();
-    missLadders_.clear();
-    // All in-flight operations died with the card; their per-line
-    // retry streaks are meaningless now.
-    retries_.clearAll();
+    dropTransientState();
     // The writeback buffer survives: it is bus-side data-path SRAM,
     // and its entries are the only copy of evicted dirty lines.
 
@@ -2071,6 +1848,32 @@ CoherenceController::crash(bool lose_directory)
                  (unsigned long long)eq_.curTick(), name_.c_str(),
                  lose_directory ? "lost" : "intact",
                  crashReplay_.size());
+}
+
+void
+CoherenceController::dropTransientState()
+{
+    for (auto &e : engines_) {
+        e.busy = false;
+        e.curItemValid = false;
+        e.curLineValid = false;
+        e.curHandler = 0xff;
+        e.curExtraTargets = 0;
+        e.netBypass = 0;
+        e.stallStreak = 0;
+        for (auto &q : e.queues)
+            q.clear();
+    }
+    homeBusy_.clear();
+    homeWaiting_.clear();
+    wbWaiting_.clear();
+    reqPending_.clear();
+    deferredLocal_.clear();
+    fetches_.clear();
+    missLadders_.clear();
+    // All in-flight operations died with the card; their per-line
+    // retry streaks are meaningless now.
+    retries_.clearAll();
 }
 
 void
@@ -2175,6 +1978,15 @@ CoherenceController::applyProbeResp(const Msg &msg)
 }
 
 void
+CoherenceController::applyProbeDone(const Msg &msg)
+{
+    ccnuma_assert(state_ == CcState::Recovering);
+    ccnuma_assert(probeDonesOutstanding_ > 0);
+    --probeDonesOutstanding_;
+    probeRespsExpected_ += msg.version;
+}
+
+void
 CoherenceController::maybeAdvanceRebuild(Tick t)
 {
     if (state_ != CcState::Recovering)
@@ -2229,9 +2041,7 @@ CoherenceController::replayAfterRestart(Tick t)
                 DispatchItem it;
                 it.msg = m;
                 it.lineAddr = m.lineAddr;
-                enqueue(m.type == MsgType::WriteBack ? QNetRequest
-                                                     : QNetResponse,
-                        it);
+                enqueue(queueOf(it), it);
             }
             for (const auto &it : items) {
                 // A deferred read the card answered in its final
@@ -2254,13 +2064,7 @@ CoherenceController::replayAfterRestart(Tick t)
                                  (unsigned long long)it.busTxnId);
                     continue;
                 }
-                unsigned q = QBusRequest;
-                if (!it.isBus) {
-                    q = it.msg.type == MsgType::SharingWB
-                            ? QNetResponse
-                            : QNetRequest;
-                }
-                enqueue(q, it);
+                enqueue(queueOf(it), it);
             }
         },
         t);
@@ -2333,15 +2137,7 @@ CoherenceController::drainWbHomedAt(NodeId home)
         it = wbBuffer_.erase(it);
         // The writeback is as absorbed as it will ever be; release
         // requests stalled behind it.
-        auto wit = wbWaiting_.find(line);
-        if (wit == wbWaiting_.end())
-            continue;
-        std::deque<DispatchItem> waiting = std::move(wit->second);
-        wbWaiting_.erase(wit);
-        for (auto rit = waiting.rbegin(); rit != waiting.rend();
-             ++rit) {
-            enqueue(QBusRequest, *rit, /*to_front=*/true);
-        }
+        releaseWbWaiting(line);
     }
     return out;
 }
@@ -2356,17 +2152,8 @@ CoherenceController::replayPendingHomedAt(NodeId home)
             ++it;
             continue;
         }
-        for (std::uint64_t txn : it->second.busTxns) {
-            DispatchItem di;
-            di.isBus = true;
-            di.busTxnId = txn;
-            di.lineAddr = line;
-            di.busCmd =
-                it->second.excl ? BusCmd::ReadExcl : BusCmd::Read;
+        for (const auto &di : pendingItems(line, it->second))
             items.push_back(di);
-        }
-        for (auto &c : it->second.conflicting)
-            items.push_back(c);
         missLadders_.erase(line);
         retries_.clear(line);
         it = reqPending_.erase(it);
@@ -2389,30 +2176,14 @@ CoherenceController::shutdownPermanently()
     ++epoch_;
     deadForever_ = true;
     state_ = CcState::Crashed;
-    for (auto &e : engines_) {
-        e.busy = false;
-        e.curItemValid = false;
-        e.curLineValid = false;
-        e.curHandler = 0xff;
-        e.curExtraTargets = 0;
-        for (auto &q : e.queues)
-            q.clear();
-    }
-    homeBusy_.clear();
-    homeWaiting_.clear();
-    reqPending_.clear();
+    dropTransientState();
     wbBuffer_.clear();
-    wbWaiting_.clear();
-    deferredLocal_.clear();
-    fetches_.clear();
     crashReplay_.clear();
     rebuildParkedWb_.clear();
-    missLadders_.clear();
     probePendingPeers_.clear();
     probeDonesOutstanding_ = 0;
     probeRespsExpected_ = 0;
     probeRespsApplied_ = 0;
-    retries_.clearAll();
 }
 
 // ---------------------------------------------------------------------

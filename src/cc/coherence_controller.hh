@@ -27,6 +27,11 @@
  *  - a direct data path between bus interface and network interface
  *    that forwards writebacks of dirty remote data to the home node
  *    without dispatching a protocol handler.
+ *
+ * Dispatch (DESIGN.md §20): a message's msgTraits() row picks its
+ * queue; at dispatch one guard stage (admit) decides whether the item
+ * is served now, parked, nacked or dropped, and one method per
+ * Table 4 handler group serves it.
  */
 
 #ifndef CCNUMA_CC_COHERENCE_CONTROLLER_HH
@@ -597,10 +602,16 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     // enqueue / dispatch machinery
     void enqueue(unsigned queue, DispatchItem item,
                  bool to_front = false);
+    /** Bus items wait on QBusRequest, messages per msgTraits(). */
+    static unsigned queueOf(const DispatchItem &item);
+    /** Re-enqueue @p items at their queue fronts, in order. */
+    void requeueFront(const std::deque<DispatchItem> &items);
     unsigned engineFor(Addr line_addr) const;
     void tryDispatch(unsigned engine_idx);
     bool pickItem(Engine &e, DispatchItem &out);
     void startItem(unsigned engine_idx, DispatchItem item);
+    /** The one dispatch switch: hand @p item to its handler. */
+    void serve(unsigned engine_idx, const DispatchItem &item);
 
     // handler execution
     void beginHandler(unsigned engine_idx, HandlerId h, Addr line,
@@ -609,15 +620,94 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     void respondPhase(std::unique_ptr<Exec> ex, Tick t);
     void finishHandler(unsigned engine_idx, Tick free_at);
 
-    // protocol decision helpers
-    void executeBusItem(unsigned engine_idx, DispatchItem &item);
-    void executeNetItem(unsigned engine_idx, DispatchItem &item);
-    void parkAtHome(unsigned engine_idx, DispatchItem &item);
+    /**
+     * The guard stage: decide whether @p item is served now. A home
+     * request waits out a busy line and bounces off a poisoned one
+     * (and off a rebuilding directory); a writeback parks across a
+     * rebuild; a response whose transaction died in a crash is
+     * dropped. Every refusal releases the engine itself.
+     */
+    bool admit(unsigned engine_idx, const DispatchItem &item);
+    void notePoison(Addr line_addr);
+    /** Answer a home request with @p nack (Recovery/PoisonNack). */
+    void nackRequest(unsigned engine_idx, const Msg &msg, MsgType nack);
+    /** Fence a local processor request off a poisoned line. */
+    void fenceDeadLine(unsigned engine_idx, const DispatchItem &item);
+    void parkAtHome(unsigned engine_idx, const DispatchItem &item);
+    /**
+     * True when a response-type message refers to transient state
+     * this controller no longer holds (lost in a crash): count and
+     * drop it instead of asserting.
+     */
+    bool strayDrop(const char *what);
+
+    // bus-side front end
+    static DispatchItem busItem(std::uint64_t txn_id, Addr line,
+                                BusCmd cmd);
+    SupplyDecision observeOwnOp(BusTxn &txn, SnoopResult combined,
+                                bool local);
+    SupplyDecision observeHomeRequest(BusTxn &txn);
+    /** Park a processor request while the card is down. */
+    SupplyDecision parkForRestart(const BusTxn &txn);
+    /** Merge a read into, or queue behind, a pending transaction. */
+    void joinPending(ReqPending &rp, const DispatchItem &item);
+    /**
+     * Send writeback data home on the direct data path, or (ablated)
+     * through an engine's send handler.
+     */
+    void sendHome(MsgType type, Addr line, std::uint64_t version,
+                  bool retains, Tick t, bool direct);
+    void releaseWbWaiting(Addr line_addr);
+
+    // protocol handlers, one per Table 4 handler group
+    void busSendWriteBack(unsigned engine_idx, const DispatchItem &item);
+    void busHomeRequest(unsigned engine_idx, const DispatchItem &item);
+    void busRemoteRequest(unsigned engine_idx, const DispatchItem &item);
+    void homeRequest(unsigned engine_idx, const DispatchItem &item);
+    /**
+     * Fetch the line from home memory, reply with data and record the
+     * requester as owner (read-exclusive) or sharer (read), joining
+     * the current sharers when @p join is set.
+     */
+    void grantFromMemory(unsigned engine_idx, const DispatchItem &item,
+                         HandlerId h, bool join = true);
+    /** Open a home transaction invalidating @p targets. */
+    void collectAcks(unsigned engine_idx, const DispatchItem &item,
+                     HandlerId h, std::vector<NodeId> targets);
+    void ownerForward(unsigned engine_idx, const Msg &msg);
+    /** Answer forward @p fwd with the line's data. */
+    void ownerSupply(const Msg &fwd, std::uint64_t version,
+                     bool retains, Tick t);
+    void sharerInval(unsigned engine_idx, const Msg &msg);
+    void invalAck(unsigned engine_idx, const Msg &msg);
+    void requesterData(unsigned engine_idx, const Msg &msg);
+    void completeRequesterFill(Addr line_addr, std::uint64_t version,
+                               Tick t);
+    void ownerDataToHome(unsigned engine_idx, const Msg &msg);
+    void sharingWriteBack(unsigned engine_idx, const Msg &msg);
+    /** Absorb a writeback, applied only if @p d names its sender. */
+    void absorbWriteBack(unsigned engine_idx, HandlerId h,
+                         const Msg &msg, const DirEntry &d);
+    void ownershipAck(unsigned engine_idx, const Msg &msg);
+    void requestNacked(unsigned engine_idx, const Msg &msg);
+    void poisonNacked(unsigned engine_idx, const Msg &msg);
+    void ownerNacked(unsigned engine_idx, const Msg &msg);
+    void dirProbe(unsigned engine_idx, const Msg &msg);
+    void dirProbeResponse(unsigned engine_idx, const Msg &msg);
+
+    // shared handler plumbing
+    void openHomeTxn(const DispatchItem &item, unsigned acks = 0);
     void closeHomeTxn(Addr line_addr, Tick t);
     /** Re-enqueue requests parked behind a now-clear home line. */
     void drainHomeWaiting(Addr line_addr, Tick t);
-    void completeRequesterFill(Addr line_addr, std::uint64_t version,
-                               Tick t);
+    /** Posted directory updates: no remote copy, an owner, sharers. */
+    void dirHome(Addr line_addr, Tick t);
+    void dirOwner(Addr line_addr, NodeId owner, Tick t);
+    void dirShared(Addr line_addr, std::uint64_t sharers, Tick t);
+    std::vector<NodeId> sharersBut(const DirEntry &d, NodeId skip) const;
+    /** A pending transaction's bus requests, as engine work. */
+    static std::deque<DispatchItem> pendingItems(Addr line_addr,
+                                                 const ReqPending &rp);
     void sendMsg(MsgType type, Addr line_addr, NodeId dst,
                  NodeId requester, std::uint64_t version, bool retains,
                  Tick t, bool recovery_resend = false);
@@ -627,12 +717,13 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
      * bounded policy's budget is exhausted.
      */
     Tick retryDelay(Addr line, const char *what);
-    bool lineAvailableLocally(Addr line_addr) const;
     /** Post incoming writeback data to the home memory. */
     void writeHomeMemory(Addr line_addr, std::uint64_t version,
                          Tick t);
 
     // crash-recovery helpers (PR 6)
+    /** Forget every engine and all transient handler state. */
+    void dropTransientState();
     /** Issue the next DirProbe wave of the active rebuild. */
     void sendNextProbeWave(Tick t);
     /** All probes answered: cross-check, go Normal, replay. */
@@ -643,17 +734,13 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     void answerDirProbe(const Msg &msg, Tick t);
     /** Apply one DirProbeResp to the rebuilding directory. */
     void applyProbeResp(const Msg &msg);
+    /** Count one peer's DirProbeDone (version = its responses). */
+    void applyProbeDone(const Msg &msg);
     /**
      * Advance the rebuild once the current wave is fully absorbed:
      * every Done received AND every counted response applied.
      */
     void maybeAdvanceRebuild(Tick t);
-    /**
-     * True when a response-type message refers to transient state
-     * this controller no longer holds (lost in a crash): count and
-     * drop it instead of asserting.
-     */
-    bool strayDrop(const char *what);
 
     std::string name_;
     EventQueue &eq_;

@@ -21,9 +21,11 @@
 #define CCNUMA_OBS_RING_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "obs/trace_event.hh"
+#include "sim/logging.hh"
 
 namespace ccnuma
 {
@@ -34,9 +36,14 @@ namespace obs
 class EventRing
 {
   public:
+    /** The largest capacity that rounds up to a power of two. */
+    static constexpr std::size_t maxCapacity =
+        std::size_t(1) << (std::numeric_limits<std::size_t>::digits - 1);
+
     /** @param capacity entries; rounded up to a power of two. */
     explicit EventRing(std::size_t capacity)
     {
+        ccnuma_assert(capacity <= maxCapacity);
         std::size_t cap = 1;
         while (cap < capacity)
             cap <<= 1;

@@ -242,13 +242,6 @@ buildSpecs()
         {{SO::WriteRegister, 2}, {SO::DirectoryWrite, 1},
          {SO::BitFieldOp, 2}, {SO::Compute, 1}});
 
-    def(HandlerId::WriteBackAckAtOwner,
-        "write back acknowledgment at owner", false,
-        {{SO::DispatchHandler, 1}, {SO::ReadRegister, 1},
-         {SO::ReadAssocRegs, 1}, {SO::Condition, 1}},
-        CcBusOp::None,
-        {{SO::Compute, 1}});
-
     def(HandlerId::OwnerNackAtHome,
         "owner nack received at home (retry)", false,
         {{SO::DispatchHandler, 1}, {SO::ReadRegister, 1},

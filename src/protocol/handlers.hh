@@ -21,7 +21,9 @@
  *
  * The 23 handlers of Table 4 appear first; the remaining entries are
  * the bookkeeping handlers any real implementation of this protocol
- * also needs (writeback absorption, writeback acks, owner nacks).
+ * also needs (writeback absorption, owner nacks) and the recovery
+ * handlers. Writeback acks need none: the network interface retires
+ * the writeback-buffer entry without dispatching an engine.
  */
 
 #ifndef CCNUMA_PROTOCOL_HANDLERS_HH
@@ -67,7 +69,6 @@ enum class HandlerId : std::uint8_t
     // --- bookkeeping handlers (not separately listed in Table 4) ---
     WriteBackAtHome,
     SharingWriteBackAtHome,
-    WriteBackAckAtOwner,
     OwnerNackAtHome,
     // --- recovery handlers (PR 6, Table 2 sub-op conventions) ---
     DirProbeAtSharer,   ///< scan caches, report lines homed at prober

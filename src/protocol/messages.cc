@@ -1,5 +1,7 @@
 #include "protocol/messages.hh"
 
+#include <iterator>
+
 namespace ccnuma
 {
 
@@ -48,6 +50,44 @@ msgCarriesData(MsgType t)
       default:
         return false;
     }
+}
+
+const MsgTraits &
+msgTraits(MsgType t)
+{
+    using Q = MsgQueue;
+    using N = MsgNeeds;
+    using C = OnCrash;
+    using R = OnRebuild;
+    // One row per MsgType, in declaration order.
+    static constexpr MsgTraits rows[] = {
+        /* ReadReq             */ {Q::Request, N::None, C::Drop, R::Nack},
+        /* ReadExclReq         */ {Q::Request, N::None, C::Drop, R::Nack},
+        /* FwdRead             */ {Q::Request, N::None, C::Park, R::Serve},
+        /* FwdReadExcl         */ {Q::Request, N::None, C::Park, R::Serve},
+        /* InvalReq            */ {Q::Request, N::None, C::Park, R::Serve},
+        /* InvalAck            */ {Q::Response, N::HomeTxn, C::Drop, R::Serve},
+        /* DataReply           */ {Q::Response, N::ReqTxn, C::Drop, R::Serve},
+        /* DataExclReply       */ {Q::Response, N::ReqTxn, C::Drop, R::Serve},
+        /* OwnerDataToHome     */ {Q::Response, N::HomeTxn, C::Drop, R::Serve},
+        /* OwnerDataExclToHome */ {Q::Response, N::HomeTxn, C::Drop, R::Serve},
+        /* SharingWB           */ {Q::Response, N::None, C::Park, R::Park},
+        /* OwnershipAck        */ {Q::Response, N::HomeTxn, C::Drop, R::Serve},
+        /* OwnerNack           */ {Q::Response, N::HomeTxn, C::Drop, R::Serve},
+        /* WriteBack           */ {Q::Request, N::None, C::Park, R::Park},
+        /* WriteBackAck        */ {Q::Interface, N::None, C::Drop, R::Serve},
+        /* HomeNack            */ {Q::Response, N::ReqTxn, C::Drop, R::Serve},
+        /* RecoveryNack        */ {Q::Response, N::ReqTxn, C::Drop, R::Serve},
+        /* DirProbe            */ {Q::Request, N::None, C::Drop, R::Serve},
+        /* DirProbeResp        */ {Q::Response, N::None, C::Drop, R::Serve},
+        /* DirProbeDone        */ {Q::Response, N::None, C::Drop, R::Serve},
+        /* RecoveryProbe       */ {Q::Interface, N::None, C::Drop, R::Serve},
+        /* RecoveryProbeAck    */ {Q::Interface, N::None, C::Drop, R::Serve},
+        /* PoisonNack          */ {Q::Response, N::ReqTxn, C::Drop, R::Serve},
+    };
+    static_assert(std::size(rows) ==
+                  static_cast<unsigned>(MsgType::PoisonNack) + 1);
+    return rows[static_cast<unsigned>(t)];
 }
 
 } // namespace ccnuma

@@ -80,6 +80,63 @@ const char *msgTypeName(MsgType t);
 /** @return true for messages that carry a full cache line. */
 bool msgCarriesData(MsgType t);
 
+/** The dispatch queue a message waits on at its receiver. */
+enum class MsgQueue : std::uint8_t
+{
+    Request,   ///< network request queue
+    Response,  ///< network response queue (served first)
+    Interface, ///< answered at the network interface, no engine
+};
+
+/** Transient state the receiver must hold for a message to apply. */
+enum class MsgNeeds : std::uint8_t
+{
+    None,
+    HomeTxn, ///< an open home-side transaction for the line
+    ReqTxn,  ///< an open requester-side transaction for the line
+};
+
+/** What a controller crash does with a queued or in-flight copy. */
+enum class OnCrash : std::uint8_t
+{
+    /**
+     * Dropped: its sender re-sends it (requests, via the miss
+     * ladder) or it answers state that died with the card.
+     */
+    Drop,
+    /**
+     * Parked for replay after the restart: its sender waits on it
+     * forever (writebacks hold a buffer entry until acked; forwards
+     * and invalidations block a home transaction).
+     */
+    Park,
+};
+
+/** What a home rebuilding its directory does with a message. */
+enum class OnRebuild : std::uint8_t
+{
+    Serve, ///< no directory judgement needed
+    /**
+     * A fresh request for a home line: bounced with RecoveryNack.
+     * The same requests are also bounced off a poisoned line and
+     * parked behind a busy one.
+     */
+    Nack,
+    Park, ///< writeback data held until the directory is rebuilt
+};
+
+/** One row of the message-traits table. */
+struct MsgTraits
+{
+    MsgQueue queue;
+    MsgNeeds needs;
+    OnCrash crash;
+    OnRebuild rebuild;
+};
+
+/** @return the traits row of @p t. */
+const MsgTraits &msgTraits(MsgType t);
+
 /** A coherence protocol message. */
 struct Msg
 {

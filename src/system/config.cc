@@ -1,5 +1,6 @@
 #include "system/config.hh"
 
+#include "obs/ring.hh"
 #include "sim/logging.hh"
 
 namespace ccnuma
@@ -116,6 +117,10 @@ MachineConfig::validate() const
         fatal("config: %u nodes cannot be split evenly over %u "
               "shards",
               numNodes, shards);
+    if (obs.enabled && obs.ringCapacity > obs::EventRing::maxCapacity)
+        fatal("config: trace ring capacity %zu cannot be rounded up to "
+              "a power of two (at most %zu)",
+              obs.ringCapacity, obs::EventRing::maxCapacity);
     if (reliable.enabled) {
         if (reliable.retransmitTimeout == 0)
             fatal("config: reliable transport enabled with a zero "

@@ -47,6 +47,26 @@ envPositive(const char *name, T &value)
          name, env, static_cast<unsigned long long>(value));
 }
 
+/**
+ * Read on/off environment knob @p name: 1|on is true, 0|off false.
+ * Anything else is warned about and, like an unset knob, yields
+ * @p value.
+ */
+bool
+envSwitch(const char *name, bool value)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return value;
+    if (!std::strcmp(env, "1") || !std::strcmp(env, "on"))
+        return true;
+    if (!std::strcmp(env, "0") || !std::strcmp(env, "off"))
+        return false;
+    warn("%s=%s not recognized (use 1|on|0|off); keeping %s", name, env,
+         value ? "on" : "off");
+    return value;
+}
+
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg)
@@ -55,39 +75,17 @@ Machine::Machine(const MachineConfig &cfg)
     // The CCNUMA_RELIABLE environment knob force-enables end-to-end
     // message recovery (transport + bounded NACK retry) without a
     // config change. Must happen before node construction: the nodes
-    // copy their controller retry policy out of cfg_.
-    if (const char *env = std::getenv("CCNUMA_RELIABLE")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withReliableTransport();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_RELIABLE=%s not recognized (use 1|on|0|off);"
-                 " recovery stays off", env);
-        }
-    }
-    // The CCNUMA_RECOVERY environment knob force-enables the
-    // fail-stop crash-recovery subsystem (implying the reliable
-    // transport) without a config change. Same before-node-construction
-    // requirement: the knobs below travel into cfg_.node.
-    if (const char *env = std::getenv("CCNUMA_RECOVERY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withCrashRecovery();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_RECOVERY=%s not recognized (use 1|on|0|off);"
-                 " crash recovery stays off", env);
-        }
-    }
-    // The CCNUMA_INTEGRITY environment knob force-enables the
-    // data-integrity subsystem (frame CRC, ECC scrubbing, line
-    // poisoning — implying crash recovery and the reliable
-    // transport) without a config change.
-    if (const char *env = std::getenv("CCNUMA_INTEGRITY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withIntegrity();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_INTEGRITY=%s not recognized (use "
-                 "1|on|0|off); integrity stays off", env);
-        }
-    }
+    // copy their controller retry policy out of cfg_. Likewise
+    // CCNUMA_RECOVERY force-enables the fail-stop crash-recovery
+    // subsystem (implying the reliable transport) and
+    // CCNUMA_INTEGRITY the data-integrity subsystem (frame CRC, ECC
+    // scrubbing, line poisoning — implying both).
+    if (envSwitch("CCNUMA_RELIABLE", false))
+        cfg_.withReliableTransport();
+    if (envSwitch("CCNUMA_RECOVERY", false))
+        cfg_.withCrashRecovery();
+    if (envSwitch("CCNUMA_INTEGRITY", false))
+        cfg_.withIntegrity();
     // Recovery knobs reach the node components through the config:
     // the controllers copy their CcParams and the cache units their
     // per-miss timer out of cfg_.node at construction.
@@ -107,17 +105,8 @@ Machine::Machine(const MachineConfig &cfg)
     // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
     // grant path in serial runs, making a serial run a bit-identity
     // oracle for the sharded modes.
-    if (const char *env = std::getenv("CCNUMA_SYNC_DEFER")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.forceSyncDefer = true;
-        } else if (!std::strcmp(env, "0") || !std::strcmp(env, "off")) {
-            cfg_.forceSyncDefer = false;
-        } else {
-            warn("CCNUMA_SYNC_DEFER=%s not recognized (use 1|on|0|"
-                 "off); sync deferral stays %s", env,
-                 cfg_.forceSyncDefer ? "on" : "off");
-        }
-    }
+    cfg_.forceSyncDefer =
+        envSwitch("CCNUMA_SYNC_DEFER", cfg_.forceSyncDefer);
     // Verification subsystem (off by default; see DESIGN.md). The
     // CCNUMA_VERIFY environment knob force-enables the checker
     // and/or watchdog without touching the configuration. Parsed
@@ -137,6 +126,20 @@ Machine::Machine(const MachineConfig &cfg)
                  env);
         }
     }
+    // Observability subsystem (off by default; see DESIGN.md). The
+    // CCNUMA_TRACE environment knob force-enables tracing without a
+    // config change; the CCNUMA_TRACE_* knobs tune it.
+    if (envSwitch("CCNUMA_TRACE", false))
+        cfg_.obs.enabled = true;
+    if (cfg_.obs.enabled) {
+        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
+            cfg_.obs.chromeTraceFile = env;
+        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
+            cfg_.obs.metricsFile = env;
+        envPositive("CCNUMA_TRACE_SAMPLE", cfg_.obs.sampleEvery);
+        envPositive("CCNUMA_TRACE_RING", cfg_.obs.ringCapacity);
+    }
+    // Every environment override is in place: check the result.
     cfg_.validate();
     shardsRequested_ = cfg_.shards;
 
@@ -272,31 +275,7 @@ Machine::Machine(const MachineConfig &cfg)
             injector_.get(), checker_.get(), cfg_.recovery);
         recovery_->arm();
     }
-    // Observability subsystem (off by default; see DESIGN.md). The
-    // CCNUMA_TRACE environment knob force-enables tracing without a
-    // config change; the CCNUMA_TRACE_* knobs tune it.
-    if (const char *env = std::getenv("CCNUMA_TRACE")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.obs.enabled = true;
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_TRACE=%s not recognized (use 1|on|0|off); "
-                 "tracing stays off", env);
-        }
-    }
     if (cfg_.obs.enabled) {
-        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
-            cfg_.obs.chromeTraceFile = env;
-        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
-            cfg_.obs.metricsFile = env;
-        if (const char *env = std::getenv("CCNUMA_TRACE_SAMPLE"))
-            cfg_.obs.sampleEvery =
-                std::max<std::uint64_t>(
-                    1, std::strtoull(env, nullptr, 10));
-        if (const char *env = std::getenv("CCNUMA_TRACE_RING"))
-            cfg_.obs.ringCapacity = static_cast<std::size_t>(
-                std::max<std::uint64_t>(
-                    1, std::strtoull(env, nullptr, 10)));
-
         obs::TracerContext tc;
         tc.numNodes = cfg_.numNodes;
         tc.procsPerNode = cfg_.node.procsPerNode;

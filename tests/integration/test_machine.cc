@@ -258,6 +258,57 @@ TEST(MachineConfigTest, BadShardsEnvKeepsConfiguredShards)
     EXPECT_TRUE(serial.shardFallbackReason().empty());
 }
 
+TEST(MachineConfigTest, BadTraceEnvKeepsConfiguredValues)
+{
+    // CCNUMA_TRACE_RING and CCNUMA_TRACE_SAMPLE take positive
+    // integers. A bad value is warned about and the configured value
+    // stays; a ring of 2^64 - 1 entries (what "-1" once wrapped to)
+    // would never round up to a power of two.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 2;
+    cfg.node.procsPerNode = 1;
+    cfg.obs.enabled = true;
+    cfg.obs.chromeTraceFile = "";
+    cfg.obs.metricsFile = "";
+    cfg.obs.ringCapacity = 1024;
+    cfg.obs.sampleEvery = 3;
+    UniformWorkload::Knobs k;
+    k.refsPerThread = 200;
+    WorkloadParams p;
+    p.numThreads = cfg.totalProcs();
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit()
+        {
+            unsetenv("CCNUMA_TRACE_RING");
+            unsetenv("CCNUMA_TRACE_SAMPLE");
+        }
+    } unset_on_exit;
+    for (const char *knob : {"CCNUMA_TRACE_RING", "CCNUMA_TRACE_SAMPLE"}) {
+        for (const char *bad : {"-1", "abc", "99999999999999999999"}) {
+            SCOPED_TRACE(std::string(knob) + "=" + bad);
+            ASSERT_EQ(setenv(knob, bad, 1), 0);
+            testing::internal::CaptureStderr();
+            Machine m(cfg);
+            std::string err = testing::internal::GetCapturedStderr();
+            EXPECT_NE(err.find(knob), std::string::npos) << err;
+            EXPECT_EQ(m.config().obs.ringCapacity, 1024u);
+            EXPECT_EQ(m.config().obs.sampleEvery, 3u);
+            UniformWorkload w(p, k);
+            EXPECT_TRUE(m.run(w).completed);
+            unsetenv(knob);
+        }
+    }
+    ASSERT_EQ(setenv("CCNUMA_TRACE_RING", "4096", 1), 0);
+    ASSERT_EQ(setenv("CCNUMA_TRACE_SAMPLE", "5", 1), 0);
+    Machine good(cfg);
+    EXPECT_EQ(good.config().obs.ringCapacity, 4096u);
+    EXPECT_EQ(good.config().obs.sampleEvery, 5u);
+
+    cfg.obs.ringCapacity = ~std::size_t(0);
+    EXPECT_THROW(cfg.validate(), FatalError);
+}
+
 TEST(MachinePerf, PpcSlowerThanHwcUnderLoad)
 {
     RunResult hwc = runUniform(Arch::HWC, 4, 4, heavyKnobs());

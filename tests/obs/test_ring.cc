@@ -25,6 +25,9 @@ TEST(EventRing, CapacityRoundsUpToPowerOfTwo)
     EXPECT_EQ(obs::EventRing(2).capacity(), 2u);
     EXPECT_EQ(obs::EventRing(3).capacity(), 4u);
     EXPECT_EQ(obs::EventRing(1000).capacity(), 1024u);
+    // Beyond the largest power of two the round-up would wrap to 0.
+    EXPECT_THROW(obs::EventRing(obs::EventRing::maxCapacity + 1),
+                 PanicError);
 }
 
 TEST(EventRing, FifoOrder)
