@@ -81,7 +81,7 @@ runOne(const std::string &app, const MachineConfig &cfg,
     WorkloadParams p;
     p.numThreads = cfg.totalProcs();
     p.scale = o.scale;
-    p.lineBytes = cfg.node.cache.lineBytes;
+    p.lineBytes = cfg.node.lineBytes;
     auto w = makeWorkload(app, p);
     Machine m(cfg);
     return m.run(*w);

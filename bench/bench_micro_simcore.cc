@@ -201,7 +201,7 @@ directoryWorkingSet(std::size_t lines)
 void
 BM_DirectoryLookup(benchmark::State &state)
 {
-    DirectoryStore dir("dir", DirectoryParams{});
+    DirectoryStore dir("dir", DirectoryParams{}, 128);
     const std::vector<Addr> addrs = directoryWorkingSet(8192);
     for (Addr a : addrs)
         dir.entry(a).addSharer(1);

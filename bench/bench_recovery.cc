@@ -51,7 +51,7 @@ run(const std::string &app, const MachineConfig &cfg, const Options &o)
     WorkloadParams p;
     p.numThreads = cfg.totalProcs();
     p.scale = o.scale;
-    p.lineBytes = cfg.node.cache.lineBytes;
+    p.lineBytes = cfg.node.lineBytes;
     auto w = makeWorkload(app, p);
     Machine m(cfg);
     return m.run(*w);

@@ -44,8 +44,8 @@ run()
     // Bus strobe-to-strobe spacing.
     {
         EventQueue eq;
-        Bus bus("b", eq, cfg.node.bus);
-        MemoryController mem("m", cfg.node.mem);
+        Bus bus("b", eq, cfg.node.bus, cfg.node.lineBytes);
+        MemoryController mem("m", cfg.node.mem, cfg.node.lineBytes);
         ProbeHook hook;
         ProbeAgent a0, a1;
         bus.setMemory(&mem);
@@ -67,8 +67,8 @@ run()
     // Memory: address strobe to start of data transfer.
     {
         EventQueue eq;
-        Bus bus("b", eq, cfg.node.bus);
-        MemoryController mem("m", cfg.node.mem);
+        Bus bus("b", eq, cfg.node.bus, cfg.node.lineBytes);
+        MemoryController mem("m", cfg.node.mem, cfg.node.lineBytes);
         ProbeHook hook;
         ProbeAgent a0;
         bus.setMemory(&mem);

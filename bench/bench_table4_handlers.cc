@@ -47,7 +47,7 @@ run()
     report::Table t({"handler", "HWC", "PPC", "PPC/HWC"});
     double ratio_sum = 0.0;
     const Tick data_hold =
-        (cfg.node.bus.lineBytes / cfg.node.bus.busWidthBytes - 1) *
+        (cfg.node.lineBytes / cfg.node.bus.busWidthBytes - 1) *
         cfg.node.bus.beatTicks;
     for (unsigned i = 0; i < numHandlers; ++i) {
         const HandlerSpec &s = allHandlerSpecs()[i];

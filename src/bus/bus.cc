@@ -20,8 +20,10 @@ busCmdName(BusCmd cmd)
     return "?";
 }
 
-Bus::Bus(const std::string &name, EventQueue &eq, const BusParams &p)
-    : name_(name), eq_(eq), params_(p), statGroup_(name)
+Bus::Bus(const std::string &name, EventQueue &eq, const BusParams &p,
+         unsigned line_bytes)
+    : name_(name), eq_(eq), params_(p), lineBytes_(line_bytes),
+      statGroup_(name)
 {
     statGroup_.add(&statTxns);
     statGroup_.add(&statDeferred);

@@ -166,11 +166,9 @@ struct BusParams
     Tick arbLatency = 4;        ///< request to earliest strobe
     Tick strobeSpacing = 4;     ///< Table 1: strobe to next strobe
     Tick snoopLatency = 4;      ///< strobe to snoop result
-    Tick memDataLatency = 20;   ///< Table 1: strobe to memory data
     Tick c2cDataLatency = 16;   ///< strobe to cache-to-cache data
     Tick beatTicks = 2;         ///< one 16-byte beat per bus cycle
     unsigned busWidthBytes = 16;
-    unsigned lineBytes = 128;
     unsigned maxOutstanding = 16;
 };
 
@@ -182,7 +180,8 @@ struct BusParams
 class Bus
 {
   public:
-    Bus(const std::string &name, EventQueue &eq, const BusParams &p);
+    Bus(const std::string &name, EventQueue &eq, const BusParams &p,
+        unsigned line_bytes);
     ~Bus();
 
     /** Register a snooping agent. @return its agent id. */
@@ -192,6 +191,9 @@ class Bus
     void setMemory(MemoryController *mem) { memory_ = mem; }
 
     const BusParams &params() const { return params_; }
+
+    /** The node's cache line size: one data transfer's payload. */
+    unsigned lineBytes() const { return lineBytes_; }
 
     /**
      * Issue a transaction. The requester's busDone() fires when data
@@ -293,13 +295,14 @@ class Bus
 
     unsigned beatsPerLine() const
     {
-        return (params_.lineBytes + params_.busWidthBytes - 1) /
+        return (lineBytes_ + params_.busWidthBytes - 1) /
                params_.busWidthBytes;
     }
 
     std::string name_;
     EventQueue &eq_;
     BusParams params_;
+    unsigned lineBytes_;
     std::vector<BusAgent *> agents_;
     BusCoherenceHook *hook_ = nullptr;
     MemoryController *memory_ = nullptr;

@@ -11,10 +11,12 @@ namespace ccnuma
 CoherenceController::CoherenceController(const std::string &name,
                                          EventQueue &eq, NodeId node,
                                          const CcParams &params,
+                                         const RecoveryConfig &recovery,
                                          Bus &bus, Network &net,
                                          AddressMap &map,
                                          DirectoryStore &dir)
-    : name_(name), eq_(eq), node_(node), params_(params), bus_(bus),
+    : name_(name), eq_(eq), node_(node), params_(params),
+      recovery_(recovery), bus_(bus),
       net_(net), map_(map), dir_(dir), retries_(params.retry),
       model_(params.engineType), statGroup_(name)
 {
@@ -169,7 +171,7 @@ CoherenceController::busObserve(BusTxn &txn, SnoopResult combined)
             const BusParams &bp = bus_.params();
             const Tick data_time =
                 eq_.curTick() + bp.c2cDataLatency +
-                static_cast<Tick>(bp.lineBytes / bp.busWidthBytes) *
+                static_cast<Tick>(bus_.lineBytes() / bp.busWidthBytes) *
                     bp.beatTicks;
             wbBuffer_[line] = WbEntry{txn.dataVersion};
             sendHome(MsgType::SharingWB, line, txn.dataVersion,
@@ -359,7 +361,7 @@ CoherenceController::sendMsg(MsgType type, Addr line_addr, NodeId dst,
                  (unsigned long long)t, name_.c_str(),
                  msgTypeName(type), dst, requester,
                  (unsigned long long)version, (int)retains);
-    unsigned bytes = msgBytes(type, bus_.params().lineBytes);
+    unsigned bytes = msgBytes(type, bus_.lineBytes());
     Tick depart = t + params_.niDelay;
     eq_.scheduleFunction(
         [this, m, bytes]() mutable {
@@ -501,7 +503,7 @@ CoherenceController::engineFor(Addr line_addr) const
     const unsigned half =
         static_cast<unsigned>(engines_.size()) / 2;
     const unsigned region = static_cast<unsigned>(
-        (line_addr / bus_.params().lineBytes) % half);
+        (line_addr / bus_.lineBytes()) % half);
     return map_.homeOf(line_addr) == node_ ? region : half + region;
 }
 
@@ -861,7 +863,7 @@ CoherenceController::respondPhase(std::unique_ptr<Exec> ex, Tick t)
                 // additionally polls off-chip registers to confirm
                 // the transfer completed.
                 const BusParams &bp = bus_.params();
-                post += (bp.lineBytes / bp.busWidthBytes - 1) *
+                post += (bus_.lineBytes() / bp.busWidthBytes - 1) *
                         bp.beatTicks;
                 if (params_.engineType == EngineType::PP)
                     post += params_.ppTransferPoll;
@@ -1768,7 +1770,7 @@ CoherenceController::dirProbeResponse(unsigned engine_idx,
 void
 CoherenceController::crash(bool lose_directory)
 {
-    ccnuma_assert(params_.recoveryEnabled);
+    ccnuma_assert(recovery_.enabled);
     ccnuma_assert(state_ == CcState::Normal && !deadForever_);
     ++statCrashes;
     if (tracer_) {
@@ -1920,9 +1922,9 @@ CoherenceController::sendNextProbeWave(Tick t)
                             t);
     }
     unsigned wave =
-        params_.probeFanout == 0
+        recovery_.probeFanout == 0
             ? static_cast<unsigned>(probePendingPeers_.size())
-            : params_.probeFanout;
+            : recovery_.probeFanout;
     while (wave-- > 0 && !probePendingPeers_.empty()) {
         NodeId peer = probePendingPeers_.front();
         probePendingPeers_.pop_front();
@@ -2073,7 +2075,7 @@ CoherenceController::replayAfterRestart(Tick t)
 void
 CoherenceController::missTimeout(Addr line_addr)
 {
-    if (!params_.recoveryEnabled || state_ != CcState::Normal ||
+    if (!recovery_.enabled || state_ != CcState::Normal ||
         deadForever_) {
         return;
     }
@@ -2084,7 +2086,7 @@ CoherenceController::missTimeout(Addr line_addr)
     MissLadder &lad = missLadders_[line_addr];
     const NodeId home = map_.homeOf(line_addr);
     const bool excl = it->second.excl;
-    if (lad.resends < params_.timeoutRetries) {
+    if (lad.resends < recovery_.timeoutRetries) {
         ++lad.resends;
         ++statTimeoutResends;
         sendMsg(excl ? MsgType::ReadExclReq : MsgType::ReadReq,
@@ -2092,7 +2094,7 @@ CoherenceController::missTimeout(Addr line_addr)
                 /*recovery_resend=*/true);
         return;
     }
-    if (lad.probes < params_.probeRetries) {
+    if (lad.probes < recovery_.probeRetries) {
         ++lad.probes;
         ++statRecoveryProbes;
         sendMsg(MsgType::RecoveryProbe, line_addr, home, node_, 0,
@@ -2114,7 +2116,7 @@ CoherenceController::missTimeout(Addr line_addr)
 bool
 CoherenceController::strayDrop(const char *what)
 {
-    if (!params_.recoveryEnabled)
+    if (!recovery_.enabled)
         return false;
     ++statStrayDrops;
     ccnuma_trace(0, "%8llu %s stray %s dropped",

@@ -57,6 +57,7 @@
 #include "protocol/messages.hh"
 #include "protocol/occupancy.hh"
 #include "protocol/retry.hh"
+#include "recovery/recovery_config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -141,21 +142,6 @@ struct CcParams
      * MachineConfig::withReliableTransport()).
      */
     RetryPolicyParams retry;
-
-    /**
-     * Fail-stop crash recovery (PR 6). Off by default; the machine
-     * copies MachineConfig::recovery into these knobs when enabled.
-     * When off, every recovery code path stays behind one branch.
-     */
-    bool recoveryEnabled = false;
-    /** Ticks between a controller crash and its restart. */
-    Tick repairTicks = 25'000;
-    /** Timeout ladder: request resends before probing the home. */
-    unsigned timeoutRetries = 2;
-    /** Timeout ladder: probes before declaring the home dead. */
-    unsigned probeRetries = 2;
-    /** Directory-probe wave size during a rebuild (0 = all peers). */
-    unsigned probeFanout = 0;
 };
 
 /**
@@ -166,8 +152,14 @@ struct CcParams
 class CoherenceController : public BusAgent, public BusCoherenceHook
 {
   public:
+    /**
+     * @p recovery is the machine's crash-recovery configuration: the
+     * timeout ladder and rebuild knobs. When it is off, every
+     * recovery code path stays behind one branch.
+     */
     CoherenceController(const std::string &name, EventQueue &eq,
                         NodeId node, const CcParams &params,
+                        const RecoveryConfig &recovery,
                         Bus &bus, Network &net, AddressMap &map,
                         DirectoryStore &dir);
 
@@ -746,6 +738,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     EventQueue &eq_;
     NodeId node_;
     CcParams params_;
+    RecoveryConfig recovery_;
     Bus &bus_;
     Network &net_;
     AddressMap &map_;

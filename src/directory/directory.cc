@@ -16,7 +16,8 @@ dirStateName(DirState s)
     return "?";
 }
 
-DirectoryCache::DirectoryCache(const DirectoryParams &p)
+DirectoryCache::DirectoryCache(const DirectoryParams &p,
+                               unsigned line_bytes)
     : assoc_(p.cacheAssoc)
 {
     if (p.cacheEntries == 0 || p.cacheAssoc == 0 ||
@@ -28,7 +29,7 @@ DirectoryCache::DirectoryCache(const DirectoryParams &p)
     if ((numSets_ & (numSets_ - 1)) != 0)
         fatal("directory cache: set count %u not a power of two",
               numSets_);
-    lineShift_ = std::countr_zero(p.lineBytes);
+    lineShift_ = std::countr_zero(line_bytes);
     tags_.resize(p.cacheEntries);
 }
 
@@ -62,10 +63,11 @@ DirectoryCache::reset()
 }
 
 DirectoryStore::DirectoryStore(const std::string &name,
-                               const DirectoryParams &p)
+                               const DirectoryParams &p,
+                               unsigned line_bytes)
     // Pre-size the entry table past the directory cache's working
     // set so steady-state lookups never rehash.
-    : params_(p), entries_(2 * p.cacheEntries), cache_(p),
+    : params_(p), entries_(2 * p.cacheEntries), cache_(p, line_bytes),
       statGroup_(name)
 {
     statGroup_.add(&statReads);

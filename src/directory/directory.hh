@@ -86,7 +86,6 @@ struct DirectoryParams
     /** Directory cache capacity in entries (paper: 8K). */
     unsigned cacheEntries = 8192;
     unsigned cacheAssoc = 4;
-    unsigned lineBytes = 128;
     /** Disable the directory cache entirely (ablation). */
     bool cacheEnabled = true;
 };
@@ -99,7 +98,7 @@ struct DirectoryParams
 class DirectoryCache
 {
   public:
-    DirectoryCache(const DirectoryParams &p);
+    DirectoryCache(const DirectoryParams &p, unsigned line_bytes);
 
     /**
      * Look up @p line_addr, allocating it on a miss.
@@ -153,7 +152,8 @@ struct DirFlipResult
 class DirectoryStore
 {
   public:
-    DirectoryStore(const std::string &name, const DirectoryParams &p);
+    DirectoryStore(const std::string &name, const DirectoryParams &p,
+                   unsigned line_bytes);
 
     /** Get (creating on demand) the entry for a local line. */
     DirEntry &entry(Addr line_addr);

@@ -9,15 +9,16 @@ namespace ccnuma
 {
 
 MemoryController::MemoryController(const std::string &name,
-                                   const MemoryParams &p)
+                                   const MemoryParams &p,
+                                   unsigned line_bytes)
     : params_(p), statGroup_(name)
 {
     if (p.numBanks == 0)
         fatal("memory %s: need at least one bank", name.c_str());
-    if (p.lineBytes == 0 || (p.lineBytes & (p.lineBytes - 1)) != 0)
+    if (!std::has_single_bit(line_bytes))
         fatal("memory %s: line size must be a power of two",
               name.c_str());
-    lineShift_ = std::countr_zero(p.lineBytes);
+    lineShift_ = std::countr_zero(line_bytes);
     bankFreeAt_.assign(p.numBanks, 0);
 
     statGroup_.add(&statReads);

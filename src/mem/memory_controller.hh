@@ -35,7 +35,6 @@ struct MemoryParams
      * (Table 1: 20 compute-processor cycles).
      */
     Tick accessLatency = 20;
-    unsigned lineBytes = 128;
 };
 
 /**
@@ -45,7 +44,8 @@ struct MemoryParams
 class MemoryController
 {
   public:
-    MemoryController(const std::string &name, const MemoryParams &p);
+    MemoryController(const std::string &name, const MemoryParams &p,
+                     unsigned line_bytes);
 
     /**
      * Schedule a line read beginning no earlier than @p earliest

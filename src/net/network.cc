@@ -83,10 +83,13 @@ Network::planEgress(NodeId src, NodeId dst, Tick ser, Tick &arrive_at,
     if (tap_ != nullptr) {
         // Fault injection: the tap may delay, duplicate, or drop the
         // delivery. Port bookkeeping above stays untouched — the
-        // injected perturbation is on top of the modeled timing.
+        // injected perturbation is on top of the modeled timing. An
+        // early delivery would undercut the sharded lookahead window.
+        const Tick untapped = arrive_at;
         if (!tap_->onDelivery(src, dst, arrive_at, duplicate_at))
             return false;
-        ccnuma_assert(arrive_at >= now);
+        ccnuma_assert(arrive_at >= untapped);
+        ccnuma_assert(duplicate_at == 0 || duplicate_at >= untapped);
     }
     return true;
 }

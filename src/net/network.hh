@@ -70,25 +70,16 @@ class NetworkTap
 
     /**
      * Called for every message once its natural delivery tick is
-     * known. @p delivered may be moved later (never earlier than the
-     * current tick); setting @p duplicate_at nonzero schedules a
-     * second delivery of the same message at that tick.
+     * known. @p delivered may be moved later, never earlier: the
+     * sharded scheduler's lookahead window assumes no message lands
+     * sooner than the network's minimum latency, and the network
+     * panics on a tap that breaks this. Setting @p duplicate_at
+     * nonzero schedules a second delivery of the same message at
+     * that tick, under the same rule.
      * @return false to drop the message entirely.
      */
     virtual bool onDelivery(NodeId src, NodeId dst, Tick &delivered,
                             Tick &duplicate_at) = 0;
-
-    /**
-     * Lower bound (possibly negative) on the adjustment this tap may
-     * apply to a delivery tick, in ticks. The sharded scheduler
-     * shrinks its lookahead window by any negative amount reported
-     * here; a tap that only ever delays deliveries
-     * returns 0 and leaves the window at the full network minimum.
-     * Returning an unsound (too large) value breaks conservatism
-     * silently — this is the contract that keeps fault injection and
-     * sharding composable.
-     */
-    virtual long long minExtraDelay() const { return 0; }
 };
 
 /**
@@ -110,19 +101,6 @@ class Network
     unsigned numNodes() const
     {
         return static_cast<unsigned>(src_.size());
-    }
-
-    /**
-     * Earliest possible gap, in ticks, between a send and its
-     * arrival event firing at the destination: one egress port cycle
-     * plus the switch flight plus one ingress port cycle. This (plus
-     * the tap's minExtraDelay, if negative) is the network's
-     * contribution to the sharded scheduler's lookahead window.
-     */
-    Tick
-    minLatency() const
-    {
-        return 2 * params_.portCycle + params_.flightLatency;
     }
 
     /**

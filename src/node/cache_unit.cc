@@ -11,8 +11,8 @@ CacheUnit::CacheUnit(const std::string &name, EventQueue &eq,
                      std::function<std::uint64_t()> next_version)
     : name_(name), eq_(eq), bus_(bus), map_(map), node_(node),
       params_(p), nextVersion_(std::move(next_version)),
-      l1_(name + ".l1", p.l1Bytes, p.l1Assoc, p.lineBytes),
-      l2_(name + ".l2", p.l2Bytes, p.l2Assoc, p.lineBytes),
+      l1_(name + ".l1", p.l1Bytes, p.l1Assoc, bus.lineBytes()),
+      l2_(name + ".l2", p.l2Bytes, p.l2Assoc, bus.lineBytes()),
       statGroup_(name)
 {
     agentId_ = bus_.addAgent(this);
@@ -97,7 +97,7 @@ CacheUnit::startMiss(Addr addr, bool write,
 void
 CacheUnit::armMissTimer()
 {
-    if (params_.missTimeoutTicks == 0 || !missTimeoutHook_)
+    if (missTimeoutTicks_ == 0 || !missTimeoutHook_)
         return;
     const std::uint64_t gen = ++missGen_;
     const Addr line = mshr_.lineAddr;
@@ -113,7 +113,7 @@ CacheUnit::armMissTimer()
             // the home.
             armMissTimer();
         },
-        params_.missTimeoutTicks);
+        missTimeoutTicks_);
 }
 
 bool

@@ -33,18 +33,10 @@ struct CacheUnitParams
     unsigned l1Assoc = 4;
     std::uint64_t l2Bytes = 1024 * 1024;
     unsigned l2Assoc = 4;
-    unsigned lineBytes = 128;
     Tick l1HitLatency = 1;
     Tick l2HitLatency = 8;
     /** Extra ticks after the critical beat before restart. */
     Tick fillRestart = 4;
-    /**
-     * Per-miss request timer (PR 6): while a miss is outstanding,
-     * fire the timeout hook every this many ticks so the coherence
-     * controller can escalate a stuck miss through its recovery
-     * ladder. 0 (the default) disables the timer entirely.
-     */
-    Tick missTimeoutTicks = 0;
 };
 
 /**
@@ -98,13 +90,16 @@ class CacheUnit : public BusAgent
     bool hasLine(Addr addr) const;
 
     /**
-     * Install the miss-timeout hook (PR 6): called with the stuck
-     * miss's line address each time the per-miss timer expires. The
-     * node wires it to the coherence controller's escalation ladder.
+     * Arm the per-miss request timer: while a miss is outstanding,
+     * @p hook is called with its line address every @p ticks ticks
+     * so the coherence controller can escalate a stuck miss through
+     * its recovery ladder. The node wires it when crash recovery is
+     * on; 0 ticks or no hook leaves the timer off.
      */
     void
-    setMissTimeoutHook(std::function<void(Addr)> hook)
+    setMissTimeoutHook(Tick ticks, std::function<void(Addr)> hook)
     {
+        missTimeoutTicks_ = ticks;
         missTimeoutHook_ = std::move(hook);
     }
 
@@ -244,6 +239,7 @@ class CacheUnit : public BusAgent
     /** Bus txns of poison-aborted misses still draining (PR 7). */
     std::vector<std::uint64_t> poisonedTxns_;
     std::function<void(Addr)> missTimeoutHook_;
+    Tick missTimeoutTicks_ = 0;
     /** Invalidates timers of retired misses. */
     std::uint64_t missGen_ = 0;
     /** Set by shutdown(): the node fail-stopped permanently. */

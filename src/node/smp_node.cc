@@ -7,18 +7,20 @@ namespace ccnuma
 {
 
 SmpNode::SmpNode(const std::string &name, EventQueue &eq, NodeId id,
-                 const NodeParams &p, Network &net, AddressMap &map,
-                 SyncManager &sync,
+                 const NodeParams &p, const RecoveryConfig &recovery,
+                 Network &net, AddressMap &map, SyncManager &sync,
                  std::function<std::uint64_t()> next_version)
     : id_(id)
 {
-    bus_ = std::make_unique<Bus>(name + ".bus", eq, p.bus);
-    mem_ = std::make_unique<MemoryController>(name + ".mem", p.mem);
-    dir_ = std::make_unique<DirectoryStore>(name + ".dir", p.dir);
+    bus_ = std::make_unique<Bus>(name + ".bus", eq, p.bus, p.lineBytes);
+    mem_ = std::make_unique<MemoryController>(name + ".mem", p.mem,
+                                              p.lineBytes);
+    dir_ = std::make_unique<DirectoryStore>(name + ".dir", p.dir,
+                                            p.lineBytes);
     bus_->setMemory(mem_.get());
 
     cc_ = std::make_unique<CoherenceController>(
-        name + ".cc", eq, id, p.cc, *bus_, net, map, *dir_);
+        name + ".cc", eq, id, p.cc, recovery, *bus_, net, map, *dir_);
     cc_->setProbe(this);
     cc_->setMemory(mem_.get());
 
@@ -34,11 +36,12 @@ SmpNode::SmpNode(const std::string &name, EventQueue &eq, NodeId id,
             cname, eq, pid, id, *caches_.back(), sync, p.proc));
     }
 
-    if (p.cc.recoveryEnabled) {
+    if (recovery.enabled) {
         // Stuck-miss escalation: each cache unit's per-miss timer
         // drives the controller's retry/probe/degraded ladder.
         for (auto &c : caches_) {
             c->setMissTimeoutHook(
+                recovery.missTimeoutTicks,
                 [this](Addr line) { cc_->missTimeout(line); });
         }
         // Directory reconstruction: a recovering peer probes us for

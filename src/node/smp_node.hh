@@ -23,6 +23,7 @@
 #include "node/cache_unit.hh"
 #include "node/processor.hh"
 #include "node/sync.hh"
+#include "recovery/recovery_config.hh"
 #include "sim/event_queue.hh"
 
 namespace ccnuma
@@ -32,6 +33,12 @@ namespace ccnuma
 struct NodeParams
 {
     unsigned procsPerNode = 4;
+    /**
+     * Cache line size (Table 1: 128 bytes), the one home of the
+     * coherence unit every node component shares: bus transfers,
+     * memory and directory interleave, and both cache levels.
+     */
+    unsigned lineBytes = 128;
     BusParams bus;
     MemoryParams mem;
     DirectoryParams dir;
@@ -45,8 +52,8 @@ class SmpNode : public LocalCacheProbe
 {
   public:
     SmpNode(const std::string &name, EventQueue &eq, NodeId id,
-            const NodeParams &p, Network &net, AddressMap &map,
-            SyncManager &sync,
+            const NodeParams &p, const RecoveryConfig &recovery,
+            Network &net, AddressMap &map, SyncManager &sync,
             std::function<std::uint64_t()> next_version);
 
     NodeId id() const { return id_; }

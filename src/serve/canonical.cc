@@ -16,23 +16,23 @@ namespace serve
 // correct behavior, just not the tripwire.
 // ---------------------------------------------------------------------
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(MachineConfig) == 728,
+static_assert(sizeof(MachineConfig) == 664,
               "MachineConfig changed: update canonicalMachineConfig");
-static_assert(sizeof(NodeParams) == 312,
+static_assert(sizeof(NodeParams) == 248,
               "NodeParams changed: update canonicalMachineConfig");
 static_assert(sizeof(NetworkParams) == 24,
               "NetworkParams changed: update canonicalMachineConfig");
-static_assert(sizeof(BusParams) == 64,
+static_assert(sizeof(BusParams) == 48,
               "BusParams changed: update canonicalMachineConfig");
-static_assert(sizeof(MemoryParams) == 32,
+static_assert(sizeof(MemoryParams) == 24,
               "MemoryParams changed: update canonicalMachineConfig");
 static_assert(sizeof(DirectoryParams) == 32,
               "DirectoryParams changed: update canonicalMachineConfig");
-static_assert(sizeof(CcParams) == 96,
+static_assert(sizeof(CcParams) == 64,
               "CcParams changed: update canonicalMachineConfig");
 static_assert(sizeof(RetryPolicyParams) == 24,
               "RetryPolicyParams changed: update canonical form");
-static_assert(sizeof(CacheUnitParams) == 64,
+static_assert(sizeof(CacheUnitParams) == 56,
               "CacheUnitParams changed: update canonicalMachineConfig");
 static_assert(sizeof(ProcessorParams) == 16,
               "ProcessorParams changed: update canonicalMachineConfig");
@@ -137,35 +137,34 @@ canonicalMachineConfig(const MachineConfig &cfg)
     // sharded runs always defer — so the key carries the effective
     // deferral mode, letting a deferred serial oracle share entries
     // with every sharded point while undeferred serial stays its own.
+    // A shard request that falls back to serial (a zero lookahead)
+    // runs the undeferred serial scheduler and keys as such.
     c.field("sync.deferredGrants",
-            cfg.shards > 1 || cfg.forceSyncDefer);
+            cfg.lookahead() > 0 || cfg.forceSyncDefer);
 
     const NodeParams &n = cfg.node;
     c.field("node.procsPerNode", std::uint64_t(n.procsPerNode));
+    c.field("node.lineBytes", std::uint64_t(n.lineBytes));
 
     const BusParams &b = n.bus;
     c.field("bus.arbLatency", std::uint64_t(b.arbLatency));
     c.field("bus.strobeSpacing", std::uint64_t(b.strobeSpacing));
     c.field("bus.snoopLatency", std::uint64_t(b.snoopLatency));
-    c.field("bus.memDataLatency", std::uint64_t(b.memDataLatency));
     c.field("bus.c2cDataLatency", std::uint64_t(b.c2cDataLatency));
     c.field("bus.beatTicks", std::uint64_t(b.beatTicks));
     c.field("bus.busWidthBytes", std::uint64_t(b.busWidthBytes));
-    c.field("bus.lineBytes", std::uint64_t(b.lineBytes));
     c.field("bus.maxOutstanding", std::uint64_t(b.maxOutstanding));
 
     const MemoryParams &m = n.mem;
     c.field("mem.numBanks", std::uint64_t(m.numBanks));
     c.field("mem.bankBusy", std::uint64_t(m.bankBusy));
     c.field("mem.accessLatency", std::uint64_t(m.accessLatency));
-    c.field("mem.lineBytes", std::uint64_t(m.lineBytes));
 
     const DirectoryParams &d = n.dir;
     c.field("dir.dramLatency", std::uint64_t(d.dramLatency));
     c.field("dir.dramBusy", std::uint64_t(d.dramBusy));
     c.field("dir.cacheEntries", std::uint64_t(d.cacheEntries));
     c.field("dir.cacheAssoc", std::uint64_t(d.cacheAssoc));
-    c.field("dir.lineBytes", std::uint64_t(d.lineBytes));
     c.field("dir.cacheEnabled", d.cacheEnabled);
 
     const CcParams &cc = n.cc;
@@ -184,23 +183,15 @@ canonicalMachineConfig(const MachineConfig &cfg)
             std::uint64_t(cc.retry.backoffBase));
     c.field("cc.retry.backoffMax", std::uint64_t(cc.retry.backoffMax));
     c.field("cc.retry.maxRetries", std::uint64_t(cc.retry.maxRetries));
-    c.field("cc.recoveryEnabled", cc.recoveryEnabled);
-    c.field("cc.repairTicks", std::uint64_t(cc.repairTicks));
-    c.field("cc.timeoutRetries", std::uint64_t(cc.timeoutRetries));
-    c.field("cc.probeRetries", std::uint64_t(cc.probeRetries));
-    c.field("cc.probeFanout", std::uint64_t(cc.probeFanout));
 
     const CacheUnitParams &cu = n.cache;
     c.field("cache.l1Bytes", std::uint64_t(cu.l1Bytes));
     c.field("cache.l1Assoc", std::uint64_t(cu.l1Assoc));
     c.field("cache.l2Bytes", std::uint64_t(cu.l2Bytes));
     c.field("cache.l2Assoc", std::uint64_t(cu.l2Assoc));
-    c.field("cache.lineBytes", std::uint64_t(cu.lineBytes));
     c.field("cache.l1HitLatency", std::uint64_t(cu.l1HitLatency));
     c.field("cache.l2HitLatency", std::uint64_t(cu.l2HitLatency));
     c.field("cache.fillRestart", std::uint64_t(cu.fillRestart));
-    c.field("cache.missTimeoutTicks",
-            std::uint64_t(cu.missTimeoutTicks));
 
     const ProcessorParams &pp = n.proc;
     c.field("proc.missDetect", std::uint64_t(pp.missDetect));

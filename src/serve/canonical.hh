@@ -9,7 +9,10 @@
  * `key=value` text rendering of every result-bearing configuration
  * field; the key is a stable 64-bit FNV-1a hash of that text, with
  * the full text kept alongside to disarm hash collisions (a collision
- * bypasses the cache, it never merges two points).
+ * bypasses the cache, it never merges two points). The config keyed
+ * must be the one that runs: SimPoint::key() applies the CCNUMA_*
+ * environment overrides first, and the deferred-grant row applies
+ * the serial fallback rule (MachineConfig::lookahead).
  *
  * Two groups of fields are deliberately EXCLUDED because the repo's
  * identity test suites prove them result-invariant:

@@ -44,7 +44,7 @@ makeSimPoint(const std::string &app, Arch arch, unsigned procs,
     pt.wp.numThreads = procs;
     pt.wp.scale = scale;
     pt.wp.dataFactor = data_factor;
-    pt.wp.lineBytes = cfg.node.cache.lineBytes;
+    pt.wp.lineBytes = cfg.node.lineBytes;
     pt.wp.seed = seed;
     return pt;
 }

@@ -42,10 +42,13 @@ struct SimPoint
     MachineConfig cfg; ///< all tweaks applied
     WorkloadParams wp; ///< thread count, scale, seed, ...
 
+    /** Content address of the simulation Machine(cfg) runs: the
+     *  config as resolved by the CCNUMA_* environment overrides. */
     PointKey
     key() const
     {
-        return makePointKey(cfg, app, wp);
+        MachineConfig resolved = cfg;
+        return makePointKey(resolved.withEnvOverrides(), app, wp);
     }
 };
 

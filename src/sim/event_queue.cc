@@ -544,24 +544,6 @@ EventQueue::step()
 }
 
 void
-EventQueue::run(Tick limit)
-{
-    // Each iteration peeks the earliest event exactly once; the old
-    // nextWhen() pre-check repeated the same bitmap scan step() was
-    // about to do.
-    while (pending_ != 0) {
-        Event *ev = peekWheel();
-        if (ev == nullptr) {
-            advanceWheelTo(overflowMin());
-            ev = peekWheel();
-        }
-        if (ev->when_ > limit)
-            return;
-        fire(ev);
-    }
-}
-
-void
 EventQueue::runWindow(Tick end)
 {
     windowStop_ = maxTick;
@@ -578,12 +560,6 @@ EventQueue::runWindow(Tick end)
             return;
         fire(ev);
     }
-}
-
-bool
-EventQueue::runUntil(const std::function<bool()> &done, Tick limit)
-{
-    return runUntilFast([&done] { return done(); }, limit);
 }
 
 } // namespace ccnuma

@@ -435,7 +435,11 @@ class EventQueue
     bool step();
 
     /** Run until the queue drains or curTick() exceeds @p limit. */
-    void run(Tick limit = maxTick);
+    void
+    run(Tick limit = maxTick)
+    {
+        runUntil([this] { return pending_ == 0; }, limit);
+    }
 
     /**
      * Window helper for the sharded scheduler: fire every pending
@@ -469,20 +473,14 @@ class EventQueue
 
     /**
      * Run until @p done returns true, the queue drains, or @p limit
-     * is exceeded. @return true iff @p done became true.
-     */
-    bool runUntil(const std::function<bool()> &done,
-                  Tick limit = maxTick);
-
-    /**
-     * Inlinable variant of runUntil for hot serial loops: @p done is
-     * a template callable (no std::function indirection), and each
-     * iteration peeks the earliest event exactly once instead of the
-     * nextWhen() + step() double scan.
+     * is exceeded. @return true iff @p done became true. The serial
+     * hot loop: @p done is a template callable, inlined with no
+     * std::function call per event, and each iteration peeks the
+     * earliest event exactly once.
      */
     template <typename Done>
     bool
-    runUntilFast(Done done, Tick limit = maxTick)
+    runUntil(Done done, Tick limit = maxTick)
     {
         while (!done()) {
             Event *ev = peekWheel();

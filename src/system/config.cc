@@ -1,5 +1,12 @@
 #include "system/config.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+
 #include "obs/ring.hh"
 #include "sim/logging.hh"
 
@@ -72,7 +79,131 @@ isPow2(unsigned v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/**
+ * Override @p value from environment knob @p name when it holds a
+ * positive decimal integer; anything else is warned about and leaves
+ * @p value unchanged.
+ */
+template <typename T>
+void
+envPositive(const char *name, T &value)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(env, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(env[0])) &&
+        *end == '\0' && errno == 0 && v >= 1 &&
+        v <= std::numeric_limits<T>::max()) {
+        value = static_cast<T>(v);
+        return;
+    }
+    warn("%s=%s not recognized (use a positive integer); keeping %llu",
+         name, env, static_cast<unsigned long long>(value));
+}
+
+/**
+ * Read on/off environment knob @p name: 1|on is true, 0|off false.
+ * Anything else is warned about and, like an unset knob, yields
+ * @p value.
+ */
+bool
+envSwitch(const char *name, bool value)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return value;
+    if (!std::strcmp(env, "1") || !std::strcmp(env, "on"))
+        return true;
+    if (!std::strcmp(env, "0") || !std::strcmp(env, "off"))
+        return false;
+    warn("%s=%s not recognized (use 1|on|0|off); keeping %s", name, env,
+         value ? "on" : "off");
+    return value;
+}
+
 } // namespace
+
+MachineConfig &
+MachineConfig::withEnvOverrides()
+{
+    // CCNUMA_RELIABLE force-enables end-to-end message recovery
+    // (transport + bounded NACK retry), CCNUMA_RECOVERY the fail-stop
+    // crash-recovery subsystem (implying the reliable transport) and
+    // CCNUMA_INTEGRITY the data-integrity subsystem (frame CRC, ECC
+    // scrubbing, line poisoning — implying both).
+    if (envSwitch("CCNUMA_RELIABLE", false))
+        withReliableTransport();
+    if (envSwitch("CCNUMA_RECOVERY", false))
+        withCrashRecovery();
+    if (envSwitch("CCNUMA_INTEGRITY", false))
+        withIntegrity();
+    envPositive("CCNUMA_SHARDS", shards);
+    envPositive("CCNUMA_MAX_TICKS", maxTicks);
+    // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
+    // grant path in serial runs, making a serial run a bit-identity
+    // oracle for the sharded modes.
+    forceSyncDefer = envSwitch("CCNUMA_SYNC_DEFER", forceSyncDefer);
+    if (const char *env = std::getenv("CCNUMA_VERIFY")) {
+        if (!std::strcmp(env, "1") || !std::strcmp(env, "checker") ||
+            !std::strcmp(env, "all")) {
+            verify.checker = true;
+        }
+        if (!std::strcmp(env, "watchdog") || !std::strcmp(env, "all"))
+            verify.watchdog = true;
+        if (!verify.checker && !verify.watchdog) {
+            warn("CCNUMA_VERIFY=%s not recognized (use "
+                 "checker|watchdog|all|1); verification stays off",
+                 env);
+        }
+    }
+    if (envSwitch("CCNUMA_TRACE", false))
+        obs.enabled = true;
+    if (obs.enabled) {
+        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
+            obs.chromeTraceFile = env;
+        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
+            obs.metricsFile = env;
+        envPositive("CCNUMA_TRACE_SAMPLE", obs.sampleEvery);
+        envPositive("CCNUMA_TRACE_RING", obs.ringCapacity);
+    }
+    return *this;
+}
+
+Tick
+MachineConfig::lookahead(const char **fallback) const
+{
+    if (fallback)
+        *fallback = nullptr;
+    if (shards <= 1)
+        return 0;
+    const Tick w = std::min(2 * net.portCycle + net.flightLatency,
+                            syncHandoffTicks);
+    const char *why = nullptr;
+    if (verify.checker) {
+        why = "the coherence invariant checker reads global machine "
+              "state at every delivery";
+    } else if (placement == PlacementPolicy::FirstTouch) {
+        why = "first-touch placement resolves page homes at miss "
+              "time, a cross-shard race";
+    } else if (!verify.faults.crashes.empty()) {
+        why = "crash recovery mutates cross-node state (receive "
+              "fences, directory rebuilds, page remaps) synchronously "
+              "at the crash and repair events";
+    } else if (!verify.faults.flips.empty()) {
+        why = "integrity fault injection mutates cross-node state (ECC "
+              "words, line poisoning, processor kills) synchronously "
+              "at each flip event";
+    } else if (w == 0) {
+        why = "the lookahead window is empty (a zero sync hand-off "
+              "leaves no safe slack)";
+    }
+    if (fallback)
+        *fallback = why;
+    return why ? 0 : w;
+}
 
 void
 MachineConfig::validate() const
@@ -83,25 +214,16 @@ MachineConfig::validate() const
     if (node.procsPerNode == 0)
         fatal("config: procsPerNode is zero; each SMP node needs at "
               "least one processor");
-    if (!isPow2(node.cache.lineBytes))
+    if (!isPow2(node.lineBytes))
         fatal("config: cache line size %u is not a power of two",
-              node.cache.lineBytes);
-    if (node.bus.lineBytes != node.cache.lineBytes ||
-        node.mem.lineBytes != node.cache.lineBytes ||
-        node.dir.lineBytes != node.cache.lineBytes) {
-        fatal("config: inconsistent line sizes (cache %u, bus %u, "
-              "mem %u, dir %u); use withLineBytes() to change them "
-              "together",
-              node.cache.lineBytes, node.bus.lineBytes,
-              node.mem.lineBytes, node.dir.lineBytes);
-    }
+              node.lineBytes);
     if (!isPow2(pageBytes))
         fatal("config: page size %u is not a power of two",
               pageBytes);
-    if (pageBytes < node.cache.lineBytes)
+    if (pageBytes < node.lineBytes)
         fatal("config: page size %u is smaller than the %u-byte "
               "cache line",
-              pageBytes, node.cache.lineBytes);
+              pageBytes, node.lineBytes);
     if (net.portWidthBytes == 0)
         fatal("config: network port width is zero bytes; nothing "
               "could ever be transferred");
@@ -252,10 +374,7 @@ MachineConfig::withArch(Arch a)
 MachineConfig &
 MachineConfig::withLineBytes(unsigned bytes)
 {
-    node.bus.lineBytes = bytes;
-    node.mem.lineBytes = bytes;
-    node.dir.lineBytes = bytes;
-    node.cache.lineBytes = bytes;
+    node.lineBytes = bytes;
     return *this;
 }
 

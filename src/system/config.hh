@@ -158,6 +158,16 @@ struct MachineConfig
     MachineConfig &withIntegrity();
 
     /**
+     * Apply the CCNUMA_* environment overrides (README, "Environment
+     * knobs"): reliable transport, crash recovery, integrity, shard
+     * count, tick limit, sync deferral, verification and tracing.
+     * Machine's constructor resolves its config through this, and so
+     * does the result-cache key, so a cached result is always keyed
+     * by the simulation that produced it.
+     */
+    MachineConfig &withEnvOverrides();
+
+    /**
      * Sanity-check the configuration, raising FatalError with an
      * actionable message on nonsense (zero nodes, non-power-of-two
      * line/page sizes, zero port width/cycle, ...). Machine's
@@ -165,10 +175,23 @@ struct MachineConfig
      */
     void validate() const;
 
+    /**
+     * The sharded scheduler's lookahead window in ticks: no shard may
+     * outrun another by more than the earliest possible cross-node
+     * interaction, the network's minimum send-to-arrival gap (one
+     * egress port cycle, the switch flight, one ingress port cycle)
+     * or a sync grant hand-off, whichever is smaller. 0 when the config
+     * runs serially: shards == 1, or a serial fallback applies, and
+     * then @p fallback (if given) receives its reason. A pure
+     * function of the config, shared by Machine's scheduler choice
+     * and the result-cache key.
+     */
+    Tick lookahead(const char **fallback = nullptr) const;
+
     /** Apply a coherence controller architecture. */
     MachineConfig &withArch(Arch a);
 
-    /** Use @p bytes cache lines everywhere (Figure 7 uses 32). */
+    /** Use @p bytes cache lines (Figure 7 uses 32). */
     MachineConfig &withLineBytes(unsigned bytes);
 
     /** Use a slow network (Figure 8 uses 1 us = 200 ticks). */

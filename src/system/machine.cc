@@ -1,12 +1,7 @@
 #include "system/machine.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <limits>
 
 #include "net/reliable.hh"
 #include "obs/tracer.hh"
@@ -19,179 +14,28 @@
 namespace ccnuma
 {
 
-namespace
-{
-
-/**
- * Override @p value from environment knob @p name when it holds a
- * positive decimal integer; anything else is warned about and leaves
- * @p value unchanged.
- */
-template <typename T>
-void
-envPositive(const char *name, T &value)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(env[0])) &&
-        *end == '\0' && errno == 0 && v >= 1 &&
-        v <= std::numeric_limits<T>::max()) {
-        value = static_cast<T>(v);
-        return;
-    }
-    warn("%s=%s not recognized (use a positive integer); keeping %llu",
-         name, env, static_cast<unsigned long long>(value));
-}
-
-/**
- * Read on/off environment knob @p name: 1|on is true, 0|off false.
- * Anything else is warned about and, like an unset knob, yields
- * @p value.
- */
-bool
-envSwitch(const char *name, bool value)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return value;
-    if (!std::strcmp(env, "1") || !std::strcmp(env, "on"))
-        return true;
-    if (!std::strcmp(env, "0") || !std::strcmp(env, "off"))
-        return false;
-    warn("%s=%s not recognized (use 1|on|0|off); keeping %s", name, env,
-         value ? "on" : "off");
-    return value;
-}
-
-} // namespace
-
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), map_(cfg.numNodes, cfg.pageBytes)
 {
-    // The CCNUMA_RELIABLE environment knob force-enables end-to-end
-    // message recovery (transport + bounded NACK retry) without a
-    // config change. Must happen before node construction: the nodes
-    // copy their controller retry policy out of cfg_. Likewise
-    // CCNUMA_RECOVERY force-enables the fail-stop crash-recovery
-    // subsystem (implying the reliable transport) and
-    // CCNUMA_INTEGRITY the data-integrity subsystem (frame CRC, ECC
-    // scrubbing, line poisoning — implying both).
-    if (envSwitch("CCNUMA_RELIABLE", false))
-        cfg_.withReliableTransport();
-    if (envSwitch("CCNUMA_RECOVERY", false))
-        cfg_.withCrashRecovery();
-    if (envSwitch("CCNUMA_INTEGRITY", false))
-        cfg_.withIntegrity();
-    // Recovery knobs reach the node components through the config:
-    // the controllers copy their CcParams and the cache units their
-    // per-miss timer out of cfg_.node at construction.
-    if (cfg_.recovery.enabled) {
-        cfg_.node.cc.recoveryEnabled = true;
-        cfg_.node.cc.repairTicks = cfg_.recovery.repairTicks;
-        cfg_.node.cc.timeoutRetries = cfg_.recovery.timeoutRetries;
-        cfg_.node.cc.probeRetries = cfg_.recovery.probeRetries;
-        cfg_.node.cc.probeFanout = cfg_.recovery.probeFanout;
-        cfg_.node.cache.missTimeoutTicks =
-            cfg_.recovery.missTimeoutTicks;
-    }
-    // CCNUMA_SHARDS overrides the configured shard count and
-    // CCNUMA_MAX_TICKS the run's tick limit.
-    envPositive("CCNUMA_SHARDS", cfg_.shards);
-    envPositive("CCNUMA_MAX_TICKS", cfg_.maxTicks);
-    // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
-    // grant path in serial runs, making a serial run a bit-identity
-    // oracle for the sharded modes.
-    cfg_.forceSyncDefer =
-        envSwitch("CCNUMA_SYNC_DEFER", cfg_.forceSyncDefer);
-    // Verification subsystem (off by default; see DESIGN.md). The
-    // CCNUMA_VERIFY environment knob force-enables the checker
-    // and/or watchdog without touching the configuration. Parsed
-    // before the shard layout is fixed: the checker forces serial.
-    if (const char *env = std::getenv("CCNUMA_VERIFY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "checker") ||
-            !std::strcmp(env, "all")) {
-            cfg_.verify.checker = true;
-        }
-        if (!std::strcmp(env, "watchdog") ||
-            !std::strcmp(env, "all")) {
-            cfg_.verify.watchdog = true;
-        }
-        if (!cfg_.verify.checker && !cfg_.verify.watchdog) {
-            warn("CCNUMA_VERIFY=%s not recognized (use "
-                 "checker|watchdog|all|1); verification stays off",
-                 env);
-        }
-    }
-    // Observability subsystem (off by default; see DESIGN.md). The
-    // CCNUMA_TRACE environment knob force-enables tracing without a
-    // config change; the CCNUMA_TRACE_* knobs tune it.
-    if (envSwitch("CCNUMA_TRACE", false))
-        cfg_.obs.enabled = true;
-    if (cfg_.obs.enabled) {
-        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
-            cfg_.obs.chromeTraceFile = env;
-        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
-            cfg_.obs.metricsFile = env;
-        envPositive("CCNUMA_TRACE_SAMPLE", cfg_.obs.sampleEvery);
-        envPositive("CCNUMA_TRACE_RING", cfg_.obs.ringCapacity);
-    }
-    // Every environment override is in place: check the result.
-    cfg_.validate();
+    // Resolve the config once (DESIGN.md §21): environment overrides,
+    // checks, then the scheduler. Falling back to serial is never
+    // silent: the reason is warned, recorded, and reported in every
+    // RunResult.
+    cfg_.withEnvOverrides().validate();
     shardsRequested_ = cfg_.shards;
+    const char *why = nullptr;
+    lookahead_ = cfg_.lookahead(&why);
+    if (why) {
+        warn("sharded scheduling (%u shards) disabled: %s; using the "
+             "serial scheduler", cfg_.shards, why);
+        fallbackReason_ = why;
+        cfg_.shards = 1;
+    }
 
     const VerifyConfig &vc = cfg_.verify;
     if (vc.faults.anyEnabled())
         injector_ = std::make_unique<FaultInjector>(vc.faults,
                                                     cfg_.numNodes);
-
-    // Decide the scheduler before anything queue-dependent is built.
-    // Falling back to serial is never silent: the reason is warned,
-    // recorded, and reported in every RunResult.
-    auto fall_back = [this](const char *why) {
-        if (cfg_.shards == 1)
-            return;
-        warn("sharded scheduling (%u shards) disabled: %s; using the "
-             "serial scheduler", cfg_.shards, why);
-        fallbackReason_ = why;
-        cfg_.shards = 1;
-    };
-    if (vc.checker) {
-        fall_back("the coherence invariant checker reads global "
-                  "machine state at every delivery");
-    }
-    if (cfg_.placement == PlacementPolicy::FirstTouch) {
-        fall_back("first-touch placement resolves page homes at miss "
-                  "time, a cross-shard race");
-    }
-    if (!vc.faults.crashes.empty()) {
-        fall_back("crash recovery mutates cross-node state (receive "
-                  "fences, directory rebuilds, page remaps) "
-                  "synchronously at the crash and repair events");
-    }
-    if (!vc.faults.flips.empty()) {
-        fall_back("integrity fault injection mutates cross-node "
-                  "state (ECC words, line poisoning, processor "
-                  "kills) synchronously at each flip event");
-    }
-    // Lookahead: no shard may outrun another by more than the
-    // earliest possible cross-node interaction — the network's
-    // minimum send-to-arrival gap (shrunk by any early delivery the
-    // fault tap may inject) or a sync grant hand-off, whichever is
-    // smaller.
-    Tick min_net = 2 * cfg_.net.portCycle + cfg_.net.flightLatency;
-    long long w = static_cast<long long>(min_net) +
-                  (injector_ ? injector_->minExtraDelay() : 0);
-    w = std::min(w, static_cast<long long>(cfg_.syncHandoffTicks));
-    if (w <= 0) {
-        fall_back("the lookahead window is empty (network minimum "
-                  "latency, fault-tap early delivery, and sync "
-                  "hand-off leave no safe slack)");
-    }
-    lookahead_ = cfg_.shards > 1 ? static_cast<Tick>(w) : 0;
 
     for (unsigned s = 0; s < cfg_.shards; ++s)
         queues_.push_back(std::make_unique<EventQueue>());
@@ -209,7 +53,7 @@ Machine::Machine(const MachineConfig &cfg)
     if (injector_)
         net_->setTap(injector_.get());
     sync_ = std::make_unique<SyncManager>(
-        "sync", shardMap_, cfg_.syncBase, cfg_.node.bus.lineBytes);
+        "sync", shardMap_, cfg_.syncBase, cfg_.node.lineBytes);
     sync_->setHandoffTicks(cfg_.syncHandoffTicks);
     sync_->setForceDefer(cfg_.forceSyncDefer);
     if (cfg_.reliable.enabled) {
@@ -227,12 +71,18 @@ Machine::Machine(const MachineConfig &cfg)
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         nodes_.push_back(std::make_unique<SmpNode>(
             "node" + std::to_string(n), shardMap_.of(n), n, cfg_.node,
-            *net_, map_, *sync_, next_version));
+            cfg_.recovery, *net_, map_, *sync_, next_version));
         nodes_.back()->cc().setRouter(this);
         if (xport_)
             nodes_.back()->cc().setTransport(xport_.get());
     }
     sync_->setBarrierParticipants(totalProcs());
+    auto node_ptrs = [this] {
+        std::vector<SmpNode *> ns;
+        for (auto &nd : nodes_)
+            ns.push_back(nd.get());
+        return ns;
+    };
 
     if (injector_ && vc.faults.engineStallProb > 0.0) {
         for (auto &nd : nodes_) {
@@ -242,10 +92,6 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
     if (vc.checker) {
-        std::vector<SmpNode *> ns;
-        ns.reserve(nodes_.size());
-        for (auto &nd : nodes_)
-            ns.push_back(nd.get());
         // With corrupting faults armed, the checker reports
         // violations as injected-fault detections and halts the run
         // instead of panicking -- unless the reliable transport is
@@ -256,7 +102,7 @@ Machine::Machine(const MachineConfig &cfg)
                               injector_->config().corrupting() &&
                               !xport_;
         checker_ = std::make_unique<CoherenceChecker>(
-            *queues_[0], map_, std::move(ns), tolerate);
+            *queues_[0], map_, node_ptrs(), tolerate);
         for (auto &nd : nodes_) {
             NodeId id = nd->id();
             nd->bus().setCompletionTap(
@@ -266,12 +112,8 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
     if (cfg_.recovery.enabled) {
-        std::vector<SmpNode *> ns;
-        ns.reserve(nodes_.size());
-        for (auto &nd : nodes_)
-            ns.push_back(nd.get());
         recovery_ = std::make_unique<RecoveryManager>(
-            *queues_[0], map_, std::move(ns), xport_.get(),
+            *queues_[0], map_, node_ptrs(), xport_.get(),
             injector_.get(), checker_.get(), cfg_.recovery);
         recovery_->arm();
     }
@@ -280,7 +122,7 @@ Machine::Machine(const MachineConfig &cfg)
         tc.numNodes = cfg_.numNodes;
         tc.procsPerNode = cfg_.node.procsPerNode;
         tc.enginesPerCc = cfg_.node.cc.numEngines;
-        tc.lineBytes = cfg_.node.bus.lineBytes;
+        tc.lineBytes = cfg_.node.lineBytes;
         tc.engineType = cfg_.node.cc.engineType;
         tc.homeOf = [this](Addr a) { return map_.homeOf(a); };
         // One tracer per shard so hooks record without locking; a
@@ -305,12 +147,8 @@ Machine::Machine(const MachineConfig &cfg)
     }
 
     if (cfg_.integrity.enabled) {
-        std::vector<SmpNode *> ns;
-        ns.reserve(nodes_.size());
-        for (auto &nd : nodes_)
-            ns.push_back(nd.get());
         integrity_ = std::make_unique<IntegrityManager>(
-            *queues_[0], map_, std::move(ns), injector_.get(),
+            *queues_[0], map_, node_ptrs(), injector_.get(),
             cfg_.integrity, cfg_.recovery.repairTicks);
         integrity_->setTracer(tracer());
         integrity_->arm();
@@ -628,14 +466,7 @@ Machine::windowBarrier(Tick window_end)
 }
 
 void
-Machine::mergeTracers()
-{
-    for (std::size_t s = 1; s < tracers_.size(); ++s)
-        tracers_[0]->absorb(*tracers_[s]);
-}
-
-RunResult
-Machine::run(Workload &w, bool check)
+Machine::start(Workload &w)
 {
     if (w.numThreads() != totalProcs()) {
         fatal("workload %s has %u threads but the machine has %u "
@@ -644,150 +475,51 @@ Machine::run(Workload &w, bool check)
     }
     w.place(map_);
 
-    unsigned n = totalProcs();
-    unsigned ppn = cfg_.node.procsPerNode;
+    const unsigned ppn = cfg_.node.procsPerNode;
     finishedProcs_.store(0, std::memory_order_relaxed);
-    finishedSerial_ = 0;
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < totalProcs(); ++i) {
         Processor &p = proc(i);
         p.setProgram(w.thread(i));
-        // Serial runs count completions through a plain variable: the
-        // single-queue fast loop polls it every event, and an atomic
-        // there is pure overhead.
-        if (shardMap_.sharded()) {
-            p.setFinishedCallback([this] {
-                finishedProcs_.fetch_add(1,
-                                         std::memory_order_release);
-            });
-        } else {
-            p.setFinishedCallback([this] { ++finishedSerial_; });
-        }
+        p.setFinishedCallback([this] {
+            finishedProcs_.fetch_add(1, std::memory_order_release);
+        });
         // Attribute the start event to the processor's node context
         // so its key is identical under any queue layout.
         NodeId node = i / ppn;
-        EventQueue &q = shardMap_.of(node);
-        q.setContext(shardMap_.nodeCtx(node));
+        shardMap_.of(node).setContext(shardMap_.nodeCtx(node));
         p.start(0);
     }
     for (auto &q : queues_)
         q->setContext(shardMap_.externalCtx());
-
-    const Tick limit = cfg_.maxTicks;
-    bool done;
-    if (shardMap_.sharded()) {
-        if (watchdog_)
+    if (watchdog_) {
+        if (shardMap_.sharded())
             watchdog_->armPolled(0);
-        done = runWindows(
-            [this, n] {
-                return finishedProcs_.load(
-                           std::memory_order_acquire) == n;
-            },
-            limit);
-    } else {
-        if (watchdog_)
+        else
             watchdog_->arm();
-        if (checker_) {
-            done = queues_[0]->runUntil(
-                [this, n] {
-                    return finishedSerial_ == n ||
-                           checker_->shouldHalt();
-                },
-                limit);
-        } else {
-            // Single-queue fast loop: an inlined completion check
-            // with no std::function dispatch per event (PR 9; this is
-            // the PR 4 serial hot loop).
-            done = queues_[0]->runUntilFast(
-                [this, n] { return finishedSerial_ == n; }, limit);
-        }
     }
-    if (watchdog_)
-        watchdog_->disarm();
-    if (checker_ && checker_->shouldHalt()) {
-        // An injected fault was detected; the protocol state is no
-        // longer trustworthy, so skip the drain and the idle checks
-        // and return a partial result. (The checker forces the
-        // serial scheduler, so no merge is needed here.)
-        warn("run of %s halted after %llu injected-fault "
-             "detection(s)", w.name().c_str(),
-             (unsigned long long)checker_->violations());
-        RunResult r;
-        r.workload = w.name();
-        r.arch =
-            std::string(engineTypeName(cfg_.node.cc.engineType));
-        r.execTicks = now();
-        r.shardsRequested = shardsRequested_;
-        r.shardsUsed = shardMap_.numShards;
-        r.shardFallback = fallbackReason_;
-        fillRecoveryStats(r);
-        if (!tracers_.empty()) {
-            mergeTracers();
-            tracers_[0]->exportAll(now());
-        }
-        return r;
-    }
-    if (!done) {
-        // Diagnose: which processors are stuck, and what protocol
-        // state is outstanding?
-        dumpDiagnostics(std::cerr);
-        std::string stuck;
-        for (unsigned i = 0; i < n; ++i) {
-            if (!proc(i).finished())
-                stuck += " " + std::to_string(i);
-        }
-        std::uint64_t pending = 0;
-        for (auto &q : queues_)
-            pending += q->numPending();
-        panic("workload %s wedged at tick %llu (pending events: %llu;"
-              " unfinished procs:%s)", w.name().c_str(),
-              (unsigned long long)now(),
-              (unsigned long long)pending, stuck.c_str());
-    }
+}
 
-    Tick exec = 0;
-    for (unsigned i = 0; i < n; ++i)
-        exec = std::max(exec, proc(i).finishTick());
+template <typename Done>
+bool
+Machine::advance(Done done, Tick limit)
+{
+    // The serial loop inlines @p done: no std::function call per
+    // event. Sharded windows test it once per barrier.
+    if (shardMap_.sharded())
+        return runWindows(done, limit);
+    return queues_[0]->runUntil(done, limit);
+}
 
-    // Drain in-flight protocol traffic (writeback acks etc.).
-    if (shardMap_.sharded()) {
-        runWindows(
-            [this] {
-                for (auto &q : queues_) {
-                    if (!q->empty())
-                        return false;
-                }
-                return true;
-            },
-            now() + 10'000'000);
-    } else {
-        queues_[0]->run(queues_[0]->curTick() + 10'000'000);
-    }
-    for (auto &nd : nodes_) {
-        if (!nd->cc().idle()) {
-            nd->cc().dumpState(std::cerr);
-            panic("controller %u not idle after drain",
-                  nd->id());
-        }
-    }
-    if (xport_ && !xport_->idle()) {
-        xport_->dumpState(std::cerr);
-        panic("reliable transport not idle after drain");
-    }
-    // Close the integrity ledger: a flip landing after the last
-    // access and the last periodic pass would otherwise stay latent.
-    if (integrity_)
-        integrity_->finalScrub();
-
-    if (check)
-        checkInvariants();
-
+RunResult
+Machine::collect(const Workload &w, Tick exec, bool completed)
+{
     RunResult r;
     r.workload = w.name();
     r.arch = std::string(engineTypeName(cfg_.node.cc.engineType));
     if (cfg_.node.cc.numEngines > 1)
         r.arch += "x" + std::to_string(cfg_.node.cc.numEngines);
     r.execTicks = exec;
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < totalProcs(); ++i) {
         Processor &p = proc(i);
         r.instructions += p.instructions();
         r.memRefs += p.memRefs();
@@ -814,7 +546,7 @@ Machine::run(Workload &w, bool check)
                   static_cast<double>(numNodes()) / exec_us
             : 0.0;
     fillRecoveryStats(r);
-    r.completed = true;
+    r.completed = completed;
     r.shardsRequested = shardsRequested_;
     r.shardsUsed = shardMap_.numShards;
     r.shardFallback = fallbackReason_;
@@ -824,10 +556,81 @@ Machine::run(Workload &w, bool check)
     for (auto &q : queues_)
         r.syncWindowStops += q->windowClamps();
     if (!tracers_.empty()) {
-        mergeTracers();
+        for (std::size_t s = 1; s < tracers_.size(); ++s)
+            tracers_[0]->absorb(*tracers_[s]);
         tracers_[0]->exportAll(now());
     }
     return r;
+}
+
+RunResult
+Machine::run(Workload &w, bool check)
+{
+    start(w);
+    const unsigned n = totalProcs();
+    auto finished_or_halted = [this, n] {
+        return finishedProcs_.load(std::memory_order_acquire) == n ||
+               (checker_ && checker_->shouldHalt());
+    };
+    const bool done = advance(finished_or_halted, cfg_.maxTicks);
+    if (watchdog_)
+        watchdog_->disarm();
+    if (checker_ && checker_->shouldHalt()) {
+        // An injected fault was detected; the protocol state is no
+        // longer trustworthy, so skip the drain and the idle checks
+        // and return a partial result.
+        warn("run of %s halted after %llu injected-fault "
+             "detection(s)", w.name().c_str(),
+             (unsigned long long)checker_->violations());
+        return collect(w, now(), false);
+    }
+    if (!done) {
+        // Diagnose: which processors are stuck, and what protocol
+        // state is outstanding?
+        dumpDiagnostics(std::cerr);
+        std::string stuck;
+        for (unsigned i = 0; i < n; ++i) {
+            if (!proc(i).finished())
+                stuck += " " + std::to_string(i);
+        }
+        std::uint64_t pending = 0;
+        for (auto &q : queues_)
+            pending += q->numPending();
+        panic("workload %s wedged at tick %llu (pending events: %llu;"
+              " unfinished procs:%s)", w.name().c_str(),
+              (unsigned long long)now(),
+              (unsigned long long)pending, stuck.c_str());
+    }
+
+    Tick exec = 0;
+    for (unsigned i = 0; i < n; ++i)
+        exec = std::max(exec, proc(i).finishTick());
+
+    // Drain in-flight protocol traffic (writeback acks etc.).
+    auto drained = [this] {
+        return std::all_of(queues_.begin(), queues_.end(),
+                           [](const auto &q) { return q->empty(); });
+    };
+    advance(drained, now() + 10'000'000);
+    for (auto &nd : nodes_) {
+        if (!nd->cc().idle()) {
+            nd->cc().dumpState(std::cerr);
+            panic("controller %u not idle after drain",
+                  nd->id());
+        }
+    }
+    if (xport_ && !xport_->idle()) {
+        xport_->dumpState(std::cerr);
+        panic("reliable transport not idle after drain");
+    }
+    // Close the integrity ledger: a flip landing after the last
+    // access and the last periodic pass would otherwise stay latent.
+    if (integrity_)
+        integrity_->finalScrub();
+
+    if (check)
+        checkInvariants();
+    return collect(w, exec, true);
 }
 
 void

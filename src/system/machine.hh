@@ -237,6 +237,25 @@ class Machine : public MsgRouter
     void printStats(std::ostream &os);
 
   private:
+    /** Load @p w's threads, schedule their start events, and arm the
+     *  hang watchdog. */
+    void start(Workload &w);
+
+    /**
+     * Run the scheduler until @p done holds, every queue drains, or
+     * the earliest pending event lies beyond @p limit: the serial
+     * queue's runUntil, or windows when sharded.
+     * @return true iff @p done became true.
+     */
+    template <typename Done>
+    bool advance(Done done, Tick limit);
+
+    /**
+     * Assemble the RunResult of a completed or checker-halted run of
+     * @p w that took @p exec ticks, and export the traces.
+     */
+    RunResult collect(const Workload &w, Tick exec, bool completed);
+
     /** Fill the RunResult recovery counters from the live stats. */
     void fillRecoveryStats(RunResult &r);
 
@@ -258,9 +277,6 @@ class Machine : public MsgRouter
     /** Window-barrier bookkeeping (mailboxes, sync, tracing). */
     void windowBarrier(Tick window_end);
 
-    /** Fold the sharded tracers into tracer 0 (no-op when serial). */
-    void mergeTracers();
-
     MachineConfig cfg_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
     ShardMap shardMap_;
@@ -281,9 +297,6 @@ class Machine : public MsgRouter
     std::vector<std::vector<Msg>> pendingNotes_;
     std::atomic<std::uint64_t> versionCounter_{0};
     std::atomic<unsigned> finishedProcs_{0};
-    /** Serial-mode finished count: plain, no atomic traffic in the
-     *  single-queue fast loop. */
-    unsigned finishedSerial_ = 0;
     Tick lookahead_ = 0;
     unsigned shardsRequested_ = 1;
     std::string fallbackReason_;

@@ -72,8 +72,8 @@ struct BusFixture : ::testing::Test
     void
     SetUp() override
     {
-        bus = std::make_unique<Bus>("bus", eq, params);
-        mem = std::make_unique<MemoryController>("mem", memParams);
+        bus = std::make_unique<Bus>("bus", eq, params, 128);
+        mem = std::make_unique<MemoryController>("mem", memParams, 128);
         bus->setMemory(mem.get());
         bus->setCoherenceHook(&hook);
         bus->addAgent(&a0);
@@ -197,7 +197,7 @@ TEST_F(BusFixture, FromCcReadMayFindNoData)
 TEST_F(BusFixture, OutstandingLimitThrottles)
 {
     params.maxOutstanding = 2;
-    bus = std::make_unique<Bus>("bus2", eq, params);
+    bus = std::make_unique<Bus>("bus2", eq, params, 128);
     bus->setMemory(mem.get());
     bus->setCoherenceHook(&hook);
     bus->addAgent(&a0);

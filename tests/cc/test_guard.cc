@@ -49,12 +49,12 @@ class Requester : public BusAgent
     std::vector<std::uint64_t> done;
 };
 
-CcParams
-ccParams(bool recovery)
+RecoveryConfig
+recoveryConfig(bool enabled)
 {
-    CcParams p;
-    p.recoveryEnabled = recovery;
-    return p;
+    RecoveryConfig rc;
+    rc.enabled = enabled;
+    return rc;
 }
 
 /** Node 0's controller in a two-node machine, and nothing else. */
@@ -65,7 +65,8 @@ struct Harness
     static constexpr Addr kRemoteLine = 0x1000;
 
     explicit Harness(bool recovery = true)
-        : cc("node0.cc", eq, 0, ccParams(recovery), bus, net, map, dir)
+        : cc("node0.cc", eq, 0, CcParams{}, recoveryConfig(recovery), bus,
+             net, map, dir)
     {
         bus.setMemory(&mem);
         cc.setMemory(&mem);
@@ -109,9 +110,9 @@ struct Harness
     }
 
     EventQueue eq;
-    Bus bus{"node0.bus", eq, BusParams{}};
-    MemoryController mem{"node0.mem", MemoryParams{}};
-    DirectoryStore dir{"node0.dir", DirectoryParams{}};
+    Bus bus{"node0.bus", eq, BusParams{}, 128};
+    MemoryController mem{"node0.mem", MemoryParams{}, 128};
+    DirectoryStore dir{"node0.dir", DirectoryParams{}, 128};
     Network net{"net", eq, 2, NetworkParams{}};
     AddressMap map{2};
     CoherenceController cc;

@@ -33,7 +33,7 @@ TEST(DirEntry, SharerBitmap)
 
 TEST(DirectoryCache, HitAfterMiss)
 {
-    DirectoryCache c(smallParams());
+    DirectoryCache c(smallParams(), 128);
     EXPECT_FALSE(c.access(0x1000));
     EXPECT_TRUE(c.access(0x1000));
     EXPECT_EQ(c.hits(), 1u);
@@ -42,7 +42,7 @@ TEST(DirectoryCache, HitAfterMiss)
 
 TEST(DirectoryCache, LruWithinSet)
 {
-    DirectoryCache c(smallParams()); // 16 sets, 4 ways
+    DirectoryCache c(smallParams(), 128); // 16 sets, 4 ways
     // Five lines mapping to the same set (stride = sets * line).
     const Addr stride = 16 * 128;
     for (Addr i = 0; i < 4; ++i)
@@ -55,7 +55,7 @@ TEST(DirectoryCache, LruWithinSet)
 
 TEST(DirectoryStore, BusSideDerivedState)
 {
-    DirectoryStore d("d", smallParams());
+    DirectoryStore d("d", smallParams(), 128);
     EXPECT_EQ(d.busSideState(0x1000), BusSideDirState::NoRemote);
     DirEntry &e = d.entry(0x1000);
     e.state = DirState::SharedRemote;
@@ -68,7 +68,7 @@ TEST(DirectoryStore, BusSideDerivedState)
 
 TEST(DirectoryStore, ReadTimingDependsOnCache)
 {
-    DirectoryStore d("d", smallParams());
+    DirectoryStore d("d", smallParams(), 128);
     bool hit = true;
     // First read misses the directory cache: pays DRAM latency.
     Tick t1 = d.scheduleRead(0x1000, 100, &hit);
@@ -82,7 +82,7 @@ TEST(DirectoryStore, ReadTimingDependsOnCache)
 
 TEST(DirectoryStore, DramBusySerializesMisses)
 {
-    DirectoryStore d("d", smallParams());
+    DirectoryStore d("d", smallParams(), 128);
     Tick t1 = d.scheduleRead(0x1000, 100, nullptr);
     Tick t2 = d.scheduleRead(0x2000, 100, nullptr);
     EXPECT_EQ(t1, 100u + smallParams().dramLatency);
@@ -92,7 +92,7 @@ TEST(DirectoryStore, DramBusySerializesMisses)
 
 TEST(DirectoryStore, WriteAllocatesIntoCache)
 {
-    DirectoryStore d("d", smallParams());
+    DirectoryStore d("d", smallParams(), 128);
     d.scheduleWrite(0x3000, 50);
     bool hit = false;
     d.scheduleRead(0x3000, 100, &hit);
@@ -101,7 +101,7 @@ TEST(DirectoryStore, WriteAllocatesIntoCache)
 
 TEST(DirectoryStore, PeekDoesNotCreate)
 {
-    DirectoryStore d("d", smallParams());
+    DirectoryStore d("d", smallParams(), 128);
     EXPECT_EQ(d.peek(0x1000), nullptr);
     d.entry(0x1000);
     EXPECT_NE(d.peek(0x1000), nullptr);

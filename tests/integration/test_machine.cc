@@ -57,8 +57,7 @@ TEST(MachineConfigTest, PresetsApply)
     EXPECT_EQ(cfg.node.cc.numEngines, 2u);
 
     cfg.withLineBytes(32);
-    EXPECT_EQ(cfg.node.cache.lineBytes, 32u);
-    EXPECT_EQ(cfg.node.bus.lineBytes, 32u);
+    EXPECT_EQ(cfg.node.lineBytes, 32u);
 
     cfg.withProcsPerNode(8);
     EXPECT_EQ(cfg.numNodes, 8u);
@@ -99,11 +98,6 @@ TEST(MachineConfigTest, ValidateRejectsNonsense)
     {
         MachineConfig cfg = MachineConfig::base();
         cfg.withLineBytes(96); // not a power of two
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg = MachineConfig::base();
-        cfg.node.cache.lineBytes = 32; // out of sync with bus/mem/dir
         EXPECT_THROW(cfg.validate(), FatalError);
     }
     {

@@ -14,19 +14,18 @@ params()
     p.numBanks = 4;
     p.bankBusy = 24;
     p.accessLatency = 20;
-    p.lineBytes = 128;
     return p;
 }
 
 TEST(Memory, IdleBankReadLatency)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     EXPECT_EQ(m.scheduleRead(0, 100), 120u);
 }
 
 TEST(Memory, SameBankSerializes)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     Tick a = m.scheduleRead(0, 100);
     // Same bank (same line address): starts only when bank frees.
     Tick b = m.scheduleRead(0, 100);
@@ -36,7 +35,7 @@ TEST(Memory, SameBankSerializes)
 
 TEST(Memory, DifferentBanksOverlap)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     Tick a = m.scheduleRead(0, 100);
     Tick b = m.scheduleRead(128, 100); // next line -> next bank
     EXPECT_EQ(a, 120u);
@@ -45,7 +44,7 @@ TEST(Memory, DifferentBanksOverlap)
 
 TEST(Memory, BankInterleaveWraps)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     // Lines 0 and 4 share bank 0 with 4 banks.
     Tick a = m.scheduleRead(0, 0);
     Tick b = m.scheduleRead(4 * 128, 0);
@@ -55,7 +54,7 @@ TEST(Memory, BankInterleaveWraps)
 
 TEST(Memory, WritesOccupyBanks)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     EXPECT_EQ(m.scheduleWrite(0, 50), 50u);
     // A read right behind the write waits for the bank.
     EXPECT_EQ(m.scheduleRead(0, 50), 50u + 24 + 20);
@@ -65,7 +64,7 @@ TEST(Memory, WritesOccupyBanks)
 
 TEST(Memory, VersionStore)
 {
-    MemoryController m("m", params());
+    MemoryController m("m", params(), 128);
     EXPECT_EQ(m.version(0x1000), 0u);
     m.setVersion(0x1000, 17);
     EXPECT_EQ(m.version(0x1000), 17u);

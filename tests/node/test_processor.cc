@@ -47,8 +47,8 @@ struct ProcFixture : ::testing::Test
     void
     SetUp() override
     {
-        bus = std::make_unique<Bus>("bus", eq, busParams);
-        mem = std::make_unique<MemoryController>("mem", memParams);
+        bus = std::make_unique<Bus>("bus", eq, busParams, 128);
+        mem = std::make_unique<MemoryController>("mem", memParams, 128);
         bus->setMemory(mem.get());
         bus->setCoherenceHook(&hook);
         CacheUnitParams p;

@@ -46,7 +46,7 @@ class TracedKernels : public ::testing::TestWithParam<std::string>
         WorkloadParams p;
         p.numThreads = cfg.totalProcs();
         p.scale = 0.05;
-        p.lineBytes = cfg.node.cache.lineBytes;
+        p.lineBytes = cfg.node.lineBytes;
         auto w = makeWorkload(app, p);
         Machine m(cfg);
         return m.run(*w);

@@ -7,6 +7,8 @@
  * the refactored harness pinned against pre-refactor golden numbers.
  */
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "serve/campaign.hh"
@@ -119,9 +121,62 @@ TEST(CampaignExpand, TweaksApplyToTheConfig)
         "\"lineBytes\": 32, \"netLatencyTicks\": 28}");
     std::vector<SimPoint> points = expandCampaign(s);
     ASSERT_EQ(points.size(), 1u);
-    EXPECT_EQ(points[0].cfg.node.cache.lineBytes, 32u);
+    EXPECT_EQ(points[0].cfg.node.lineBytes, 32u);
     EXPECT_EQ(points[0].wp.lineBytes, 32u); // post-tweak line size
     EXPECT_EQ(points[0].cfg.net.flightLatency, 28u);
+}
+
+/**
+ * The key names the simulation that runs. CCNUMA_RELIABLE changes
+ * what Machine simulates, so it must change the key exactly as
+ * withReliableTransport() does.
+ */
+TEST(PointKey, EnvOverridesReachTheKey)
+{
+    const SimPoint plain = makeSimPoint("FFT", Arch::PPC, 16, 0.05);
+    SimPoint reliable = plain;
+    reliable.cfg.withReliableTransport();
+    const PointKey unset_key = plain.key();
+    const Tick unset_ticks = SimSession{}.run(plain).execTicks;
+
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit() { unsetenv("CCNUMA_RELIABLE"); }
+    } unset_on_exit;
+    ASSERT_EQ(setenv("CCNUMA_RELIABLE", "1", 1), 0);
+    EXPECT_EQ(plain.key().hash, reliable.key().hash);
+    EXPECT_EQ(plain.key().canonical, reliable.key().canonical);
+    EXPECT_NE(plain.key().hash, unset_key.hash);
+    EXPECT_NE(SimSession{}.run(plain).execTicks, unset_ticks);
+}
+
+/**
+ * A shard request that falls back to serial (first-touch placement
+ * here) simulates exactly what plain serial does, so it shares plain
+ * serial's key -- not that of the deferred-grant serial oracle, which
+ * simulates a different run.
+ */
+TEST(PointKey, SerialFallbackKeysAsSerial)
+{
+    auto first_touch = [](MachineConfig &c) {
+        c.placement = PlacementPolicy::FirstTouch;
+    };
+    const SimPoint serial =
+        makeSimPoint("FFT", Arch::PPC, 16, 0.05, 1.0, first_touch);
+    const SimPoint fallback =
+        makeSimPoint("FFT", Arch::PPC, 16, 0.05, 1.0, first_touch, 4);
+    SimPoint oracle = serial;
+    oracle.cfg.forceSyncDefer = true;
+    ASSERT_EQ(fallback.cfg.shards, 4u);
+    EXPECT_EQ(fallback.key().hash, serial.key().hash);
+    EXPECT_EQ(fallback.key().canonical, serial.key().canonical);
+    EXPECT_NE(fallback.key().hash, oracle.key().hash);
+
+    SimSession session;
+    const RunResult fell_back = session.run(fallback);
+    EXPECT_EQ(fell_back.shardsUsed, 1u);
+    EXPECT_EQ(fell_back.execTicks, session.run(serial).execTicks);
+    EXPECT_NE(fell_back.execTicks, session.run(oracle).execTicks);
 }
 
 /**

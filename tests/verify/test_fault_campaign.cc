@@ -119,6 +119,32 @@ TEST(FaultCampaign, ReorderingDetectedByChecker)
         << "no seed produced a detected reordering";
 }
 
+TEST(FaultCampaign, HaltedRunReportsTheCompletedRunsArch)
+{
+    // A checker-halted run returns a partial result, assembled like
+    // a completed one: same architecture label, completed == false.
+    MachineConfig clean_cfg = checkedConfig();
+    clean_cfg.withArch(Arch::TwoPPC);
+    Machine clean(clean_cfg);
+    const RunResult done = runKernel(clean, "FFT", 0.05);
+    ASSERT_TRUE(done.completed);
+    EXPECT_EQ(done.arch, "PPx2");
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        MachineConfig cfg = clean_cfg;
+        cfg.verify.faults.seed = seed;
+        cfg.verify.faults.reorderProb = 0.05;
+        cfg.verify.faults.reorderDelayMax = 2000;
+        Machine m(cfg);
+        RunResult r = runKernel(m, "FFT", 0.05);
+        if (!m.checker()->shouldHalt())
+            continue;
+        EXPECT_FALSE(r.completed);
+        EXPECT_EQ(r.arch, "PPx2");
+        return;
+    }
+    FAIL() << "no seed produced a checker-halted run";
+}
+
 TEST(FaultCampaign, DuplicateDeliveryDetectedByChecker)
 {
     unsigned detections = 0;

@@ -61,7 +61,7 @@ ladderWorkload(Machine &m)
     Addr remote = 0x10'0000;
     while (m.map().homeOf(remote) != 1)
         remote += m.config().pageBytes;
-    Addr remote2 = remote + m.config().node.cache.lineBytes;
+    Addr remote2 = remote + m.config().node.lineBytes;
 
     std::vector<std::vector<ThreadOp>> scripts(2);
     scripts[0] = {
