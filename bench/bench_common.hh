@@ -75,7 +75,7 @@ struct Options
         if (shards <= 1)
             return jobs;
         unsigned cap =
-            std::max(1u, ThreadPool::hardwareJobs() / shards);
+            std::max(1u, hardwareJobs() / shards);
         return std::max(1u, std::min(jobs, cap));
     }
 
@@ -108,9 +108,9 @@ parseOptions(int argc, char **argv)
         } else if (arg.rfind("--jobs=", 0) == 0) {
             o.jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
             if (o.jobs == 0)
-                o.jobs = ThreadPool::hardwareJobs();
+                o.jobs = hardwareJobs();
         } else if (arg == "--jobs") {
-            o.jobs = ThreadPool::hardwareJobs();
+            o.jobs = hardwareJobs();
         } else if (arg.rfind("--shards=", 0) == 0) {
             o.shards =
                 static_cast<unsigned>(std::stoul(arg.substr(9)));

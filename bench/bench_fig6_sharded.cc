@@ -78,7 +78,7 @@ int
 run(int argc, char **argv)
 {
     bench::Options o = bench::parseOptions(argc, argv);
-    unsigned hw = ThreadPool::hardwareJobs();
+    unsigned hw = hardwareJobs();
     if (o.shards <= 1)
         o.shards = std::min(8u, std::max(2u, hw));
     bench::Options serial_o = o;

@@ -57,7 +57,7 @@ BENCHMARK(BM_EventQueueBurst)->Arg(64)->Arg(1024)->Arg(16384);
  * The delay mix a coherence simulation actually schedules: the small
  * bus/memory/directory/network constants from Tables 1 and 3
  * dominate, with a sprinkle of long watchdog/retransmission timers
- * that land in the wheel's overflow tier (or deep in the heap).
+ * that land in the wheel's overflow heap (or deep in the legacy heap).
  */
 inline Tick
 realisticDelay(std::size_t i)
@@ -116,15 +116,16 @@ BM_LegacyHeapRealisticDelays(benchmark::State &state)
 BENCHMARK(BM_LegacyHeapRealisticDelays);
 
 /**
- * Guard for the O(overflow) wheel-advance early-out: park
- * state.range(0) far-future timers in the overflow tier and run a
+ * Guard for the wheel advance's cost under a parked population: park
+ * state.range(0) far-future timers in the overflow heap and run a
  * near-term schedule/fire steady state whose 64-tick hop wraps the
- * 1024-tick wheel every 16 steps. Each wrap calls advanceWheelTo,
- * which must reject the entire parked population from its cached
- * lower bound in O(1) — without the early-out every wrap walks all
- * parked events and throughput collapses as the population grows.
- * bench_gate.py enforces Arg(4096) >= 0.5x Arg(64) items/s, a
- * machine-independent within-run invariant.
+ * 1024-tick wheel every 16 steps. The hop that crosses the window's
+ * end parks in the heap too, so each wrap pays one O(log n) push and
+ * pop, and deciding that no parked timer migrates is one comparison
+ * against the heap top; a structure that walked the parked timers on
+ * every wrap would collapse as the population grows. bench_gate.py
+ * enforces Arg(4096) >= 0.5x Arg(64) items/s, a machine-independent
+ * within-run invariant.
  */
 void
 BM_WheelParkedOverflow(benchmark::State &state)

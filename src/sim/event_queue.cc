@@ -7,6 +7,11 @@
 namespace ccnuma
 {
 
+// The overflow heap's slot index shares prev_'s storage: a field of its
+// own would grow every Event from 72 to 80 bytes.
+static_assert(sizeof(void *) != 8 || sizeof(Event) == 72,
+              "Event grew past 72 bytes on a 64-bit target");
+
 Event::~Event()
 {
     if (!scheduled_)
@@ -47,10 +52,14 @@ EventQueue::EventQueue()
         Core core = std::move(cache.back());
         cache.pop_back();
         buckets_ = std::move(core.buckets);
+        heap_ = std::move(core.heap);
         slabs_ = std::move(core.slabs);
         freeList_ = core.freeList;
     } else {
         buckets_.resize(wheelTicks);
+        // About twice the largest overflow population measured (516,
+        // in the crash campaign), so parking never allocates once warm.
+        heap_.reserve(1024);
     }
 }
 
@@ -61,6 +70,14 @@ EventQueue::~EventQueue()
     // through the bitmap so a drained queue's teardown touches
     // nothing; pooled events still in flight are reset and returned
     // to the free list so the core below is donated clean.
+    auto forget = [this](Event *ev) {
+        ev->scheduled_ = false;
+        ev->queue_ = nullptr;
+        ev->prev_ = nullptr;
+        ev->next_ = nullptr;
+        if (ev->pooled_)
+            releasePoolEvent(static_cast<PoolEvent *>(ev));
+    };
     for (unsigned w = 0; w < bitmapWords; ++w) {
         std::uint64_t bits = bitmap_[w];
         while (bits != 0) {
@@ -71,50 +88,33 @@ EventQueue::~EventQueue()
             Bucket &b = buckets_[idx];
             for (Event *ev = b.head; ev != nullptr;) {
                 Event *next = ev->next_;
-                ev->scheduled_ = false;
-                ev->queue_ = nullptr;
-                ev->prev_ = nullptr;
-                ev->next_ = nullptr;
-                if (ev->pooled_)
-                    releasePoolEvent(static_cast<PoolEvent *>(ev));
+                forget(ev);
                 ev = next;
             }
             b.head = nullptr;
             b.tail = nullptr;
         }
     }
-    auto drainList = [this](Event *head) {
-        for (Event *ev = head; ev != nullptr;) {
-            Event *next = ev->next_;
-            ev->scheduled_ = false;
-            ev->queue_ = nullptr;
-            ev->prev_ = nullptr;
-            ev->next_ = nullptr;
-            if (ev->pooled_)
-                releasePoolEvent(static_cast<PoolEvent *>(ev));
-            ev = next;
-        }
-    };
-    for (Event *&head : epochs_)
-        drainList(head);
-    drainList(farHead_);
-    // Donate the cleaned bucket array and pool slabs to the next
-    // queue constructed on this thread (bounded cache).
+    for (Event *ev : heap_)
+        forget(ev);
+    heap_.clear();
+    // Donate the cleaned bucket array, heap storage and pool slabs to
+    // the next queue constructed on this thread (bounded cache).
     std::vector<Core> &cache = coreCache();
     if (cache.size() < 4) {
-        cache.push_back(
-            Core{std::move(buckets_), std::move(slabs_), freeList_});
+        cache.push_back(Core{std::move(buckets_), std::move(heap_),
+                             std::move(slabs_), freeList_});
     }
 }
 
 void
-EventQueue::insertSorted(Bucket &b, Event *ev)
+EventQueue::insertSorted(Event *ev)
 {
     // Events in one bucket share a tick; keep the list ordered by
     // (priority, schedTick, ctx, seq). Locally scheduled events carry
     // the highest (schedTick, seq) so far within their context, so
     // scanning from the tail terminates almost immediately on the hot
-    // path (uniform priorities, one context); overflow migration and
+    // path (uniform priorities, one context); heap migration and
     // cross-queue injection walk further.
     auto after_fires_later = [](const Event *a, const Event *e) {
         if (a->priority_ != e->priority_)
@@ -125,6 +125,8 @@ EventQueue::insertSorted(Bucket &b, Event *ev)
             return a->ctx_ > e->ctx_;
         return a->seq_ > e->seq_;
     };
+    std::size_t idx = static_cast<std::size_t>(ev->when_ & wheelMask);
+    Bucket &b = buckets_[idx];
     Event *after = b.tail;
     while (after != nullptr && after_fires_later(after, ev)) {
         after = after->prev_;
@@ -141,6 +143,8 @@ EventQueue::insertSorted(Bucket &b, Event *ev)
         ev->next_->prev_ = ev;
     else
         b.tail = ev;
+    bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+    ++nearCount_;
 }
 
 void
@@ -170,44 +174,10 @@ EventQueue::insertScheduled(Event *ev, Tick when)
     ev->scheduled_ = true;
     ev->queue_ = this;
     if (inWheel(when)) {
-        std::size_t idx = static_cast<std::size_t>(when & wheelMask);
-        insertSorted(buckets_[idx], ev);
-        bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-        ++nearCount_;
-    } else if (inHorizon(when)) {
-        // Within one ring revolution of the window: intrusive list in
-        // the event's epoch slot, so window advances only ever touch
-        // the one slot they open. The ring is a fixed array — this
-        // path never allocates, which the steady-state pooled
-        // one-shot contract (tests/sim/test_alloc_free.cc) requires.
-        Event *&head = epochs_[epochSlot(when)];
-        ev->prev_ = nullptr;
-        ev->next_ = head;
-        if (head != nullptr)
-            head->prev_ = ev;
-        head = ev;
-        ++overflowCount_;
-        // A smaller tick tightens the cached bound whether or not it
-        // is currently exact; an equal-or-larger one leaves an exact
-        // bound exact.
-        if (when < overflowMinLB_)
-            overflowMinLB_ = when;
+        insertSorted(ev);
     } else {
-        // Beyond the horizon (watchdog-scale timers): unsorted far
-        // list with its own stale-lower-bound min cache. Advances
-        // never walk it unless its cached bound proves something may
-        // have entered the horizon.
-        ev->prev_ = nullptr;
-        ev->next_ = farHead_;
-        if (farHead_ != nullptr)
-            farHead_->prev_ = ev;
-        farHead_ = ev;
-        ++farCount_;
-        ++overflowCount_;
-        if (when < farMinLB_)
-            farMinLB_ = when;
-        if (when < overflowMinLB_)
-            overflowMinLB_ = when;
+        heap_.push_back(ev);
+        heapSiftUp(heap_.size() - 1, ev);
     }
     ++pending_;
     if (pending_ > maxPending_)
@@ -233,40 +203,9 @@ EventQueue::unlink(Event *ev)
             bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
         --nearCount_;
     } else {
-        // Ring slot or far list? After every advance all far events
-        // are beyond the horizon (promotion runs before anything else
-        // looks at the ring), so the event's own tick discriminates.
-        const bool far = !inHorizon(ev->when_);
-        if (ev->prev_ != nullptr) {
-            ev->prev_->next_ = ev->next_;
-        } else if (far) {
-            ccnuma_assert(farHead_ == ev);
-            farHead_ = ev->next_;
-        } else {
-            Event *&head = epochs_[epochSlot(ev->when_)];
-            ccnuma_assert(head == ev);
-            head = ev->next_;
-        }
-        if (ev->next_ != nullptr)
-            ev->next_->prev_ = ev->prev_;
-        if (far) {
-            --farCount_;
-            if (farCount_ == 0) {
-                farMinLB_ = maxTick;
-                farMinExact_ = true;
-            } else if (ev->when_ == farMinLB_) {
-                farMinExact_ = false;
-            }
-        }
-        --overflowCount_;
-        if (overflowCount_ == 0) {
-            overflowMinLB_ = maxTick;
-            overflowMinExact_ = true;
-        } else if (ev->when_ == overflowMinLB_) {
-            // The minimum may have left; the bound stays valid as a
-            // lower bound and is recomputed lazily on demand.
-            overflowMinExact_ = false;
-        }
+        // Every heap event lies past the window (the advance pops all
+        // the window covers), so the event's own tick discriminates.
+        heapErase(ev);
     }
     ev->prev_ = nullptr;
     ev->next_ = nullptr;
@@ -300,7 +239,8 @@ EventQueue::peekWheel() const
         return nullptr;
     // All wheel events are at or after curTick_, so scanning the
     // occupancy bitmap from curTick_'s slot (or the window start if
-    // the window was advanced past curTick_) finds the earliest one.
+    // the window was just advanced past curTick_) finds the earliest
+    // one.
     Tick from = curTick_ > wheelBase_ ? curTick_ : wheelBase_;
     std::size_t idx = static_cast<std::size_t>(from & wheelMask);
     unsigned word = static_cast<unsigned>(idx >> 6);
@@ -318,140 +258,67 @@ EventQueue::peekWheel() const
     return nullptr;
 }
 
-Tick
-EventQueue::overflowMin() const
+void
+EventQueue::heapSiftUp(std::size_t i, Event *ev)
 {
-    ccnuma_assert(overflowCount_ != 0);
-    if (overflowMinExact_)
-        return overflowMinLB_;
-    Tick min = maxTick;
-    if (overflowCount_ != farCount_) {
-        // Some events live in the epoch ring. Every ring event is
-        // within one revolution of the window, so scanning slots in
-        // ring order from the window's own epoch meets the earliest
-        // occupied epoch first; the recompute walks that one slot,
-        // never the whole tier.
-        const std::size_t cur = epochSlot(wheelBase_);
-        for (unsigned d = 0; d < overflowEpochs; ++d) {
-            Event *head =
-                epochs_[(cur + d) & (overflowEpochs - 1)];
-            if (head == nullptr)
-                continue;
-            min = head->when_;
-            for (Event *ev = head->next_; ev != nullptr;
-                 ev = ev->next_) {
-                if (ev->when_ < min)
-                    min = ev->when_;
-            }
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 2;
+        if (heap_[parent]->when_ <= ev->when_)
             break;
-        }
+        heapPlace(i, heap_[parent]);
+        i = parent;
     }
-    if (farCount_ != 0) {
-        Tick fm = farMin();
-        if (fm < min)
-            min = fm;
-    }
-    overflowMinLB_ = min;
-    overflowMinExact_ = true;
-    return min;
+    heapPlace(i, ev);
 }
 
-Tick
-EventQueue::farMin() const
+void
+EventQueue::heapSiftDown(std::size_t i, Event *ev)
 {
-    ccnuma_assert(farCount_ != 0);
-    if (farMinExact_)
-        return farMinLB_;
-    Tick min = farHead_->when_;
-    for (Event *ev = farHead_->next_; ev != nullptr; ev = ev->next_) {
-        if (ev->when_ < min)
-            min = ev->when_;
+    const std::size_t n = heap_.size();
+    while (true) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n &&
+            heap_[child + 1]->when_ < heap_[child]->when_)
+            ++child;
+        if (ev->when_ <= heap_[child]->when_)
+            break;
+        heapPlace(i, heap_[child]);
+        i = child;
     }
-    farMinLB_ = min;
-    farMinExact_ = true;
-    return min;
+    heapPlace(i, ev);
+}
+
+void
+EventQueue::heapErase(Event *ev)
+{
+    // Refill the hole with the last leaf, then restore the heap order
+    // in whichever direction the leaf violates it.
+    const std::size_t i = ev->heapSlot_;
+    Event *last = heap_.back();
+    heap_.pop_back();
+    if (last == ev)
+        return;
+    if (i > 0 && last->when_ < heap_[(i - 1) / 2]->when_)
+        heapSiftUp(i, last);
+    else
+        heapSiftDown(i, last);
 }
 
 void
 EventQueue::advanceWheelTo(Tick target)
 {
-    ccnuma_assert(nearCount_ == 0);
+    ccnuma_assert(nearCount_ == 0 && target >= curTick_);
     wheelBase_ = target & ~wheelMask;
-    // Nothing parked, nothing to migrate: re-basing an empty window
-    // is a pure pointer update (the common case when a serial run
-    // hops across an idle stretch).
-    if (overflowCount_ == 0)
-        return;
-    // The horizon moved with the window: far events that now fall
-    // within one ring revolution are promoted into their epoch slots
-    // first, so the membership invariant (far events are always
-    // beyond the horizon) holds before anything else classifies by
-    // tick. The far list's cached bound gates the walk — parked
-    // watchdog-scale timers are not touched until the window provably
-    // approaches them — and the walk doubles as an exact far-minimum
-    // recompute.
-    if (farCount_ != 0 && farMinLB_ < wheelBase_ + horizonTicks) {
-        Tick min = maxTick;
-        for (Event *ev = farHead_; ev != nullptr;) {
-            Event *next = ev->next_;
-            if (inHorizon(ev->when_)) {
-                if (ev->prev_ != nullptr)
-                    ev->prev_->next_ = ev->next_;
-                else
-                    farHead_ = ev->next_;
-                if (ev->next_ != nullptr)
-                    ev->next_->prev_ = ev->prev_;
-                Event *&head = epochs_[epochSlot(ev->when_)];
-                ev->prev_ = nullptr;
-                ev->next_ = head;
-                if (head != nullptr)
-                    head->prev_ = ev;
-                head = ev;
-                --farCount_;
-            } else if (ev->when_ < min) {
-                min = ev->when_;
-            }
-            ev = next;
-        }
-        farMinLB_ = min;
-        farMinExact_ = true;
-    }
-    // If even the smallest parked tick lies beyond the new window,
-    // nothing can migrate — and a stale lower bound is still a
-    // bound, so this O(1) test rejects the entire parked population
-    // without a recompute or slot lookup.
-    if (overflowMinLB_ >= wheelBase_ + wheelTicks)
-        return;
-    // Migrate exactly the destination epoch's slot into the wheel.
-    // The advance target is always the earliest pending tick, so no
-    // slot holds events from an epoch before the new base and the
-    // slot's ring mapping is unambiguous. Migrating events keep
-    // their original seq, so the (tick, priority, seq) ordering
-    // contract is untouched by living in the overflow tier; every
-    // other epoch's parked population is never walked.
-    Event *&slot = epochs_[epochSlot(wheelBase_)];
-    for (Event *ev = slot; ev != nullptr;) {
-        Event *next = ev->next_;
-        std::size_t idx =
-            static_cast<std::size_t>(ev->when_ & wheelMask);
-        ev->prev_ = nullptr;
-        ev->next_ = nullptr;
-        insertSorted(buckets_[idx], ev);
-        bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-        ++nearCount_;
-        --overflowCount_;
-        ev = next;
-    }
-    slot = nullptr;
-    if (overflowCount_ == 0) {
-        overflowMinLB_ = maxTick;
-        overflowMinExact_ = true;
-    } else {
-        // Everything still parked sits in a later ring epoch or
-        // beyond the horizon, so the next window base is a valid
-        // lower bound; the exact minimum is recomputed lazily.
-        overflowMinLB_ = wheelBase_ + wheelTicks;
-        overflowMinExact_ = false;
+    // Migrating events keep their original key and enter their bucket
+    // through insertSorted, so time spent in the heap never changes
+    // the firing order. A window that covers no parked event costs
+    // one comparison against the heap top.
+    while (!heap_.empty() && inWheel(heap_.front()->when_)) {
+        Event *ev = heap_.front();
+        heapErase(ev);
+        insertSorted(ev);
     }
 }
 
@@ -461,9 +328,7 @@ EventQueue::nextWhen() const
     const Event *ev = peekWheel();
     if (ev != nullptr)
         return ev->when_;
-    if (overflowCount_ != 0)
-        return overflowMin();
-    return maxTick;
+    return heap_.empty() ? maxTick : heap_.front()->when_;
 }
 
 EventQueue::PoolEvent *
@@ -531,11 +396,11 @@ EventQueue::step()
 {
     Event *ev = peekWheel();
     if (ev == nullptr) {
-        if (overflowCount_ == 0)
+        if (heap_.empty())
             return false;
-        // Only far-future events remain: fast-forward the window to
-        // the earliest of them and retry.
-        advanceWheelTo(overflowMin());
+        // Only parked events remain: fast-forward the window to the
+        // earliest of them and retry.
+        advanceWheelTo(heap_.front()->when_);
         ev = peekWheel();
         ccnuma_assert(ev != nullptr);
     }
@@ -551,9 +416,9 @@ EventQueue::runWindow(Tick end)
         Tick stop = end < windowStop_ ? end : windowStop_;
         Event *ev = peekWheel();
         if (ev == nullptr) {
-            if (overflowMin() >= stop)
+            if (heap_.front()->when_ >= stop)
                 return;
-            advanceWheelTo(overflowMin());
+            advanceWheelTo(heap_.front()->when_);
             ev = peekWheel();
         }
         if (ev->when_ >= stop)

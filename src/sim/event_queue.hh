@@ -5,13 +5,14 @@
  * Events scheduled for the same tick are ordered first by priority and
  * then by insertion order, making every simulation fully deterministic.
  *
- * The queue is a timing wheel rather than a binary heap: near-horizon
+ * The queue is a timing wheel backed by a binary min-heap: near-horizon
  * events (the bus, memory, directory, and network latencies that
  * dominate a coherence simulation are all small constants) live in
  * per-tick intrusive bucket lists with O(1) schedule/fire/cancel, and
- * far-future events (watchdog budgets, retransmission timeouts) sit in
- * an intrusive overflow list that is migrated into the wheel when the
- * window advances. Cancellation unlinks in place, so there is no
+ * events past the wheel window (watchdog budgets, retransmission
+ * timeouts, hops across the window's end) sit in an intrusive heap
+ * ordered by tick whose top is popped into the wheel when the window
+ * advances. Cancellation removes an event in place, so there is no
  * lazy-cancel set to consult on the pop path. One-shot callbacks are
  * served from a slab-backed free list of pooled events whose callback
  * storage is inline, so steady-state simulation performs zero heap
@@ -21,7 +22,6 @@
 #ifndef CCNUMA_SIM_EVENT_QUEUE_HH
 #define CCNUMA_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -114,8 +114,16 @@ class Event
   private:
     friend class EventQueue;
 
-    /** Intrusive links: wheel bucket list or overflow list. */
-    Event *prev_ = nullptr;
+    /**
+     * Intrusive links of a wheel bucket list. An event parked in the
+     * overflow heap has no bucket neighbours, so prev_'s storage holds
+     * its heap slot instead; Event stays 72 bytes on LP64.
+     */
+    union
+    {
+        Event *prev_ = nullptr;
+        std::size_t heapSlot_;
+    };
     Event *next_ = nullptr;
     Tick when_ = 0;
     /** Tick at which the event was scheduled (part of the key). */
@@ -485,9 +493,12 @@ class EventQueue
         while (!done()) {
             Event *ev = peekWheel();
             if (ev == nullptr) {
-                if (overflowCount_ == 0)
+                // Check the limit first: a window opens only at an
+                // event about to fire, so no later schedule() can land
+                // between curTick() and the window start.
+                if (heap_.empty() || heap_.front()->when_ > limit)
                     return false;
-                advanceWheelTo(overflowMin());
+                advanceWheelTo(heap_.front()->when_);
                 ev = peekWheel();
             }
             if (ev->when_ > limit)
@@ -503,7 +514,7 @@ class EventQueue
     // lands in the window directly, while keeping the bucket array
     // small enough (16 KB) that constructing a Machine stays cheap.
     // Longer delays (watchdog budgets, retransmission timers) park in
-    // the overflow tier and migrate as the window advances.
+    // the overflow heap and migrate as the window advances.
     static constexpr unsigned wheelBits = 10;
     static constexpr Tick wheelTicks = Tick(1) << wheelBits;
 
@@ -530,10 +541,6 @@ class EventQueue
     static constexpr Tick wheelMask = wheelTicks - 1;
     static constexpr unsigned bitmapWords =
         static_cast<unsigned>(wheelTicks / 64);
-    /** Epoch-ring geometry (overflow level 2; see epochs_). */
-    static constexpr unsigned overflowEpochs = 64;
-    static constexpr Tick horizonTicks =
-        wheelTicks * overflowEpochs;
 
     bool
     inWheel(Tick when) const
@@ -541,38 +548,33 @@ class EventQueue
         return when - wheelBase_ < wheelTicks;
     }
 
-    /** Within the epoch ring's coverage (but maybe in the wheel). */
-    bool
-    inHorizon(Tick when) const
-    {
-        return when - wheelBase_ < horizonTicks;
-    }
-
-    std::size_t
-    epochSlot(Tick when) const
-    {
-        return static_cast<std::size_t>((when >> wheelBits) &
-                                        (overflowEpochs - 1));
-    }
-
-    void insertSorted(Bucket &b, Event *ev);
+    /**
+     * Link @p ev (when_ inside the window) into its bucket, ordered by
+     * (priority, schedTick, ctx, seq).
+     */
+    void insertSorted(Event *ev);
     /** Insert @p ev at @p when with its key fields already set. */
     void insertScheduled(Event *ev, Tick when);
     void unlink(Event *ev);
     /** Earliest pending event, or nullptr. Never mutates the wheel. */
     Event *peekWheel() const;
-    /** Exact minimum tick over the overflow tier (non-empty). */
-    Tick overflowMin() const;
-    /** Exact minimum tick over the far list (empty -> maxTick). */
-    Tick farMin() const;
+    /** Store @p ev at heap slot @p i and record the slot in it. */
+    void
+    heapPlace(std::size_t i, Event *ev)
+    {
+        heap_[i] = ev;
+        ev->heapSlot_ = i;
+    }
+    /** Move @p ev from slot @p i towards the root to its place. */
+    void heapSiftUp(std::size_t i, Event *ev);
+    /** Move @p ev from slot @p i towards the leaves to its place. */
+    void heapSiftDown(std::size_t i, Event *ev);
+    /** Remove @p ev from its own heap slot in O(log n). */
+    void heapErase(Event *ev);
     /**
      * Re-base the wheel window so that @p target falls inside it and
-     * migrate the destination epoch's overflow bucket into the wheel.
-     * Cost is O(events actually migrating); parked populations in
-     * later epochs are never touched, and a cached lower bound lets
-     * an advance below every parked event return without even the
-     * bucket lookup.
-     * @pre the wheel is empty and target >= curTick_.
+     * pop every parked event the new window covers into its bucket.
+     * @pre the wheel is empty and target is the heap's earliest tick.
      */
     void advanceWheelTo(Tick target);
     /** Pop bookkeeping + process() for an already-peeked event. */
@@ -582,16 +584,17 @@ class EventQueue
     void releasePoolEvent(PoolEvent *ev);
 
     /**
-     * Recyclable allocation backbone of a queue: the bucket array and
-     * the one-shot pool slabs. Machines are constructed once per
-     * sweep point, so destroyed queues donate these (cleaned) to a
-     * thread-local cache the next queue on the thread draws from,
-     * making EventQueue construction allocation-free in the steady
-     * state of a parallel sweep.
+     * Recyclable allocation backbone of a queue: the bucket array, the
+     * overflow heap's storage and the one-shot pool slabs. Machines
+     * are constructed once per sweep point, so destroyed queues donate
+     * these (cleaned) to a thread-local cache the next queue on the
+     * thread draws from, making EventQueue construction
+     * allocation-free in the steady state of a parallel sweep.
      */
     struct Core
     {
         std::vector<Bucket> buckets;
+        std::vector<Event *> heap;
         std::vector<std::unique_ptr<PoolEvent[]>> slabs;
         PoolEvent *freeList = nullptr;
     };
@@ -604,42 +607,14 @@ class EventQueue
     std::uint64_t nearCount_ = 0;
 
     /**
-     * Overflow level 2: a fixed ring of 64 epoch slots, one per
-     * future wheel window (epoch = when >> wheelBits; slot = epoch
-     * mod 64), covering the next 64 windows (65536 ticks). Each slot
-     * is the head of an unsorted intrusive list. Window advancement
-     * migrates exactly the one slot whose epoch the wheel is opening
-     * — O(events actually migrating) — so a parked population of
-     * watchdog/retransmission timers costs nothing per wrap, where a
-     * flat overflow list forces a full walk on every wrap. The ring
-     * is a plain member array and the lists are intrusive, so
-     * far-future scheduling stays allocation-free in the steady
-     * state (the repo's counting-allocator tests enforce this).
-     *
-     * Events beyond the 64-epoch horizon park in level 3, the far
-     * list, and are swept into ring slots when the advancing horizon
-     * reaches them; farMinLB_ (same stale-lower-bound protocol as
-     * overflowMinLB_) makes the "nothing to sweep" check O(1), so a
-     * population parked eons out is never walked at all.
+     * Overflow tier: every event past the wheel window, in a binary
+     * min-heap ordered by tick. Each parked event records its slot
+     * (heapSlot_), so cancellation erases it in place; the window
+     * advance pops the top while it falls inside the new window. The
+     * vector is reserved at construction and recycled through Core,
+     * so parking stays allocation-free in the steady state.
      */
-    std::array<Event *, 64> epochs_ = {};
-    /** Total far-future events: ring slots + far list. */
-    std::uint64_t overflowCount_ = 0;
-    /** Level 3: events beyond the epoch ring's horizon, unsorted. */
-    Event *farHead_ = nullptr;
-    std::uint64_t farCount_ = 0;
-    mutable Tick farMinLB_ = maxTick;
-    mutable bool farMinExact_ = true;
-    /**
-     * Cached lower bound on the overflow ticks: exact while
-     * overflowMinExact_, and always <= the true minimum (removing an
-     * event can only raise the minimum, so a stale bound stays a
-     * bound). Keeps nextWhen() and window advancement O(1) instead of
-     * walking the overflow list — a per-window cost in the sharded
-     * scheduler, whose GVT computation polls every shard's horizon.
-     */
-    mutable Tick overflowMinLB_ = maxTick;
-    mutable bool overflowMinExact_ = true;
+    std::vector<Event *> heap_;
 
     /** Stop tick of the window in progress (see runWindow). */
     Tick windowStop_ = maxTick;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Worker-thread pool for parallel bench sweeps.
+ * Worker threads for parallel bench sweeps.
  *
  * The simulator itself is strictly single-threaded and deterministic:
  * one Machine owns one EventQueue and never shares mutable state with
@@ -8,22 +8,21 @@
  * each (architecture × workload) point builds its own Machine, so N
  * points can run on N threads with bit-identical per-point results.
  *
- * ThreadPool is a plain fixed-size pool (condition-variable queue);
- * parallelMap() is the deterministic-order helper the benches use:
- * results come back indexed by input position regardless of which
- * worker finished first, and the first exception (if any) is rethrown
- * in the caller after all workers drain.
+ * parallelForIndex() starts its own workers, which take indices from
+ * one atomic counter, and joins them before returning; parallelMap()
+ * is the deterministic-order helper the benches use: results come
+ * back indexed by input position regardless of which worker finished
+ * first, and the first exception (if any) is rethrown in the caller
+ * after all workers drain.
  */
 
 #ifndef CCNUMA_SIM_PARALLEL_HH
 #define CCNUMA_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -32,47 +31,15 @@
 namespace ccnuma
 {
 
-/** Fixed-size worker pool. Tasks are plain closures. */
-class ThreadPool
+/** @return the machine's hardware concurrency (at least 1). */
+inline unsigned
+hardwareJobs()
 {
-  public:
-    /**
-     * @param jobs worker count; 0 selects the hardware concurrency.
-     */
-    explicit ThreadPool(unsigned jobs = 0);
-
-    /** Drains the queue, then joins every worker. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned jobs() const { return jobs_; }
-
-    /** Enqueue @p task for execution on some worker. */
-    void post(std::function<void()> task);
-
-    /** Block until every posted task has finished running. */
-    void wait();
-
-    /** @return the machine's hardware concurrency (at least 1). */
-    static unsigned hardwareJobs();
-
-  private:
-    void workerLoop();
-
-    unsigned jobs_;
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvIdle_;
-    std::size_t inFlight_ = 0; ///< queued + currently executing
-    bool stopping_ = false;
-};
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /**
- * Apply @p fn to every index in [0, n) using @p jobs workers.
+ * Apply @p fn to every index in [0, n) on min(jobs, n) worker threads.
  * Index order of execution is unspecified; completion is awaited.
  * jobs <= 1 runs inline (no threads), preserving exact serial
  * behavior for the default bench configuration.
@@ -86,30 +53,32 @@ parallelForIndex(unsigned jobs, std::size_t n, Fn &&fn)
             fn(i);
         return;
     }
-    ThreadPool pool(jobs);
     std::atomic<std::size_t> next{0};
     std::mutex emu;
     std::exception_ptr first;
-    unsigned spawn = static_cast<unsigned>(
-        std::min<std::size_t>(pool.jobs(), n));
-    for (unsigned w = 0; w < spawn; ++w) {
-        pool.post([&] {
-            while (true) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> g(emu);
-                    if (!first)
-                        first = std::current_exception();
-                }
+    auto work = [&] {
+        while (true) {
+            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> g(emu);
+                if (!first)
+                    first = std::current_exception();
             }
-        });
+        }
+    };
+    {
+        // jthread joins on destruction, also if a later thread fails
+        // to start.
+        std::vector<std::jthread> workers;
+        const std::size_t spawn = std::min<std::size_t>(jobs, n);
+        workers.reserve(spawn);
+        for (std::size_t w = 0; w < spawn; ++w)
+            workers.emplace_back(work);
     }
-    pool.wait();
     if (first)
         std::rethrow_exception(first);
 }

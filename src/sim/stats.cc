@@ -118,19 +118,5 @@ Group::print(std::ostream &os) const
         s->print(os, name_ + ".");
 }
 
-void
-Registry::resetAll()
-{
-    for (auto *g : groups_)
-        g->resetAll();
-}
-
-void
-Registry::print(std::ostream &os) const
-{
-    for (const auto *g : groups_)
-        g->print(os);
-}
-
 } // namespace stats
 } // namespace ccnuma

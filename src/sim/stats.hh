@@ -221,19 +221,6 @@ class Group
     std::vector<Stat *> stats_;
 };
 
-/** Registry of groups for whole-machine dumps. */
-class Registry
-{
-  public:
-    void add(Group *g) { groups_.push_back(g); }
-
-    void resetAll();
-    void print(std::ostream &os) const;
-
-  private:
-    std::vector<Group *> groups_;
-};
-
 } // namespace stats
 } // namespace ccnuma
 

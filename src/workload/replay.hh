@@ -5,18 +5,22 @@
  * Figure sweeps (fig6-fig12) run the same eight kernels dozens of
  * times while varying only *machine* parameters — protocol, occupancy,
  * network latency, shard count. The reference stream a kernel feeds
- * the simulated processors depends on none of those: it is fully
- * determined by the workload identity (kernel name plus every
- * WorkloadParams field). Generating it from the data-computing
- * coroutines again for every sweep point is pure waste.
+ * the simulated processors is meant to depend on none of those, only
+ * on the workload identity (kernel name plus every WorkloadParams
+ * field), which would make generating it from the data-computing
+ * coroutines again for every sweep point pure waste.
  *
  * This module captures each identity's per-thread operation vectors
  * once into a ReplayBuffer and replays them allocation-free through
  * OpStream::fromBuffer for every later point with the same identity.
- * Replay is *provably* bit-identical: the consumer pulls ops one at a
- * time and timing feedback only decides when the next op is pulled,
- * never which op arrives, so a buffer and the coroutine it was
- * recorded from are observationally equivalent streams.
+ * Replay is bit-identical only for a kernel whose threads never read
+ * state shared with other threads on the host: then timing feedback
+ * only decides when the next op is pulled, never which op arrives.
+ * Cholesky breaks this. Its dynamic task queue reads a host-side
+ * cursor in simulated-time order, and captureWorkload drains thread 0
+ * to exhaustion first, so the captured stream gives thread 0 every
+ * task and replay simulates a serialized schedule (7.8x the live
+ * ticks on 16 processors, PPC, scale 0.05).
  *
  * The identity key is a caller-supplied canonical text (the campaign
  * layer passes serve::canonicalWorkload(app, params), which renders

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "directory/directory.hh"
 
 namespace ccnuma
@@ -105,6 +107,24 @@ TEST(DirectoryStore, PeekDoesNotCreate)
     EXPECT_EQ(d.peek(0x1000), nullptr);
     d.entry(0x1000);
     EXPECT_NE(d.peek(0x1000), nullptr);
+}
+
+TEST(DirectoryStore, ForEachVisitsEntriesInFirstTouchOrder)
+{
+    // injectFlip picks its victim as the k-th entry in forEach order,
+    // so a seeded flip hits the same line only while that order is
+    // first-touch order (a hash map's bucket order would not be).
+    DirectoryStore d("d", smallParams(), 128);
+    const std::vector<Addr> touched = {0x9000, 0x1000, 0x7f80, 0x0080,
+                                       0x4000, 0x2a00, 0x0100};
+    for (Addr a : touched)
+        d.entry(a);
+    d.entry(0x1000); // a repeat touch does not move the entry
+    std::vector<Addr> visited;
+    d.forEach([&](Addr line, const DirEntry &) {
+        visited.push_back(line);
+    });
+    EXPECT_EQ(visited, touched);
 }
 
 } // namespace

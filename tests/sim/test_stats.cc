@@ -141,21 +141,5 @@ TEST(Stats, GroupPrintAndReset)
     EXPECT_EQ(a.count(), 0u);
 }
 
-TEST(Stats, RegistryAggregates)
-{
-    stats::Registry reg;
-    stats::Group g1("a"), g2("b");
-    stats::Scalar s1("x", ""), s2("y", "");
-    g1.add(&s1);
-    g2.add(&s2);
-    reg.add(&g1);
-    reg.add(&g2);
-    s1 += 1;
-    s2 += 2;
-    reg.resetAll();
-    EXPECT_EQ(s1.value(), 0.0);
-    EXPECT_EQ(s2.value(), 0.0);
-}
-
 } // namespace
 } // namespace ccnuma

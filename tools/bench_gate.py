@@ -10,11 +10,18 @@ Accepts two input shapes:
   * the simplified baseline format checked into bench/baseline/
     (object with an "items_per_second" name->value map).
 
-Besides the baseline comparison, one machine-independent invariant is
-enforced so the gate still means something when CI hardware drifts
-from the machine that produced the baseline: the timing wheel must
-beat the retained legacy-heap oracle by at least 1.5x on the
-realistic-delay benchmark pair.
+Besides the baseline comparison, two machine-independent invariants
+are computed from FRESH alone, so the gate still means something when
+CI hardware drifts from the machine that produced the baseline (or the
+baseline is missing): the timing wheel must beat the retained
+legacy-heap oracle by at least 1.5x on the realistic-delay benchmark
+pair, and BM_WheelParkedOverflow/4096 must keep at least 0.5x the
+items/sec of /64 (a wheel wrap that migrates nothing costs one
+comparison against the overflow heap's top, whatever is parked).
+
+An input file that is missing or not valid JSON is a named failure,
+not a crash: the other requested gates still run, and the exit status
+is 1.
 
 A second machine-independent invariant gates the sharded scheduler:
 pass --sharded BENCH_fig6_sharded.json and the grid's overall
@@ -84,9 +91,19 @@ import json
 import sys
 
 
-def items_per_second(path):
-    with open(path) as f:
-        data = json.load(f)
+def load_json(path, failures):
+    """Parsed contents of @p path, or None after naming the failure."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        failures.append(f"{path}: cannot read ({e.strerror})")
+    except ValueError as e:
+        failures.append(f"{path}: not valid JSON ({e})")
+    return None
+
+
+def items_per_second(data):
     if "items_per_second" in data:
         return dict(data["items_per_second"])
     out = {}
@@ -99,11 +116,9 @@ def items_per_second(path):
     return out
 
 
-def sharded_summary(path):
+def sharded_summary(data):
     """Return the metric->value map of the sharded bench's summary
-    table, or None if the file doesn't contain one."""
-    with open(path) as f:
-        data = json.load(f)
+    table, or None if the export doesn't contain one."""
     for table in data.get("tables", []):
         if "speedup summary" not in table.get("title", "").lower():
             continue
@@ -113,7 +128,10 @@ def sharded_summary(path):
 
 
 def check_sharded(path, min_speedup, min_speedup_adaptive, failures):
-    summary = sharded_summary(path)
+    data = load_json(path, failures)
+    if data is None:
+        return
+    summary = sharded_summary(data)
     if summary is None:
         failures.append(f"{path}: no 'speedup summary' table")
         return
@@ -176,7 +194,10 @@ def check_sharded(path, min_speedup, min_speedup_adaptive, failures):
 
 
 def check_recovery(path, max_rebuild_ticks, failures):
-    rows = table_rows(path, "crash campaign")
+    data = load_json(path, failures)
+    if data is None:
+        return
+    rows = table_rows(data, "crash campaign")
     if rows is None:
         failures.append(f"{path}: no 'crash campaign' table")
         return
@@ -207,11 +228,9 @@ def check_recovery(path, max_rebuild_ticks, failures):
             f"(ceiling {max_rebuild_ticks})")
 
 
-def table_rows(path, title_substr):
+def table_rows(data, title_substr):
     """Return the per-run rows of the named table (the TOTAL row
-    excluded), or None if the file doesn't contain one."""
-    with open(path) as f:
-        data = json.load(f)
+    excluded), or None if the export doesn't contain one."""
     for table in data.get("tables", []):
         if title_substr not in table.get("title", "").lower():
             continue
@@ -221,7 +240,10 @@ def table_rows(path, title_substr):
 
 
 def check_integrity(path, failures):
-    rows = table_rows(path, "corruption campaign")
+    data = load_json(path, failures)
+    if data is None:
+        return
+    rows = table_rows(data, "corruption campaign")
     if rows is None:
         failures.append(f"{path}: no 'corruption campaign' table")
         return
@@ -258,11 +280,9 @@ def check_integrity(path, failures):
             "the sweep is not exercising the defenses")
 
 
-def served_summary(path):
+def served_summary(data):
     """Metric->value map of a daemon download's 'campaign summary'
-    table, or None when the file isn't a result download."""
-    with open(path) as f:
-        data = json.load(f)
+    table, or None when the export isn't a result download."""
     for table in data.get("tables", []):
         if "campaign summary" not in table.get("title", "").lower():
             continue
@@ -272,7 +292,10 @@ def served_summary(path):
 
 
 def check_served(path, min_dedup, failures):
-    rows = table_rows(path, "served load")
+    data = load_json(path, failures)
+    if data is None:
+        return
+    rows = table_rows(data, "served load")
     if rows is not None:
         # Load-bench shape: one row per service scenario.
         if not rows:
@@ -308,8 +331,8 @@ def check_served(path, min_dedup, failures):
     # Daemon download shape: gate on structure, echo the cache
     # efficiency fields (a single campaign may legitimately show no
     # dedup, so no threshold applies here).
-    summary = served_summary(path)
-    points = table_rows(path, "campaign points")
+    summary = served_summary(data)
+    points = table_rows(data, "campaign points")
     if summary is None or points is None:
         failures.append(
             f"{path}: neither a 'served load' bench export nor a "
@@ -328,11 +351,9 @@ def check_served(path, min_dedup, failures):
           f"cache-hit-rate {hit}, dedup-factor {dedup}")
 
 
-def replay_summary(path):
+def replay_summary(data):
     """Metric->value map of the 'workload replay cache' table, or
     None when the bench export doesn't carry one."""
-    with open(path) as f:
-        data = json.load(f)
     for table in data.get("tables", []):
         if "replay cache" not in table.get("title", "").lower():
             continue
@@ -342,7 +363,10 @@ def replay_summary(path):
 
 
 def check_replay_served(path, failures):
-    summary = replay_summary(path)
+    data = load_json(path, failures)
+    if data is None:
+        return
+    summary = replay_summary(data)
     if summary is None:
         failures.append(
             f"{path}: no 'workload replay cache' table (every bench "
@@ -368,6 +392,58 @@ def check_replay_served(path, failures):
         failures.append(
             "replay-served run loaded no trace from disk; the "
             "persist dir is not being consulted")
+
+
+def check_baseline(base, fresh, threshold, failures):
+    print(f"{'benchmark':40s} {'baseline':>12s} {'fresh':>12s} "
+          f"{'ratio':>7s}")
+    for name in sorted(base):
+        if name not in fresh:
+            print(f"{name:40s} {base[name]:12.3g} {'MISSING':>12s}")
+            failures.append(f"{name}: missing from fresh run")
+            continue
+        ratio = fresh[name] / base[name]
+        flag = ""
+        if ratio < 1.0 - threshold:
+            flag = "  << REGRESSION"
+            failures.append(
+                f"{name}: {fresh[name]:.3g} items/s is "
+                f"{(1.0 - ratio) * 100:.1f}% below baseline "
+                f"{base[name]:.3g}")
+        print(f"{name:40s} {base[name]:12.3g} "
+              f"{fresh[name]:12.3g} {ratio:7.2f}{flag}")
+
+
+def check_fresh_ratios(fresh, failures):
+    small = fresh.get("BM_WheelParkedOverflow/64")
+    big = fresh.get("BM_WheelParkedOverflow/4096")
+    if small and big:
+        ratio = big / small
+        print(f"\nparked-overflow 4096/64 throughput ratio: "
+              f"{ratio:.2f} (require >= 0.50)")
+        if ratio < 0.50:
+            failures.append(
+                f"wheel advance degrades {1 / ratio:.1f}x with a "
+                "64x larger parked overflow population; a wrap that "
+                "migrates nothing should cost one comparison against "
+                "the overflow heap's top")
+    else:
+        failures.append(
+            "BM_WheelParkedOverflow/{64,4096} pair missing from run")
+
+    wheel = fresh.get("BM_WheelRealisticDelays")
+    heap = fresh.get("BM_LegacyHeapRealisticDelays")
+    if wheel and heap:
+        ratio = wheel / heap
+        print(f"\nwheel/heap realistic-delay ratio: {ratio:.2f} "
+              f"(require >= 1.50)")
+        if ratio < 1.50:
+            failures.append(
+                f"timing wheel only {ratio:.2f}x the legacy "
+                f"heap (expected >= 1.5x)")
+    else:
+        failures.append(
+            "wheel-vs-heap realistic-delay pair missing from run")
 
 
 def main():
@@ -411,57 +487,14 @@ def main():
 
     failures = []
     if args.baseline:
-        base = items_per_second(args.baseline)
-        fresh = items_per_second(args.fresh)
-
-        print(f"{'benchmark':40s} {'baseline':>12s} {'fresh':>12s} "
-              f"{'ratio':>7s}")
-        for name in sorted(base):
-            if name not in fresh:
-                print(f"{name:40s} {base[name]:12.3g} "
-                      f"{'MISSING':>12s}")
-                failures.append(f"{name}: missing from fresh run")
-                continue
-            ratio = fresh[name] / base[name]
-            flag = ""
-            if ratio < 1.0 - args.threshold:
-                flag = "  << REGRESSION"
-                failures.append(
-                    f"{name}: {fresh[name]:.3g} items/s is "
-                    f"{(1.0 - ratio) * 100:.1f}% below baseline "
-                    f"{base[name]:.3g}")
-            print(f"{name:40s} {base[name]:12.3g} "
-                  f"{fresh[name]:12.3g} {ratio:7.2f}{flag}")
-
-        small = fresh.get("BM_WheelParkedOverflow/64")
-        big = fresh.get("BM_WheelParkedOverflow/4096")
-        if small and big:
-            ratio = big / small
-            print(f"\nparked-overflow 4096/64 throughput ratio: "
-                  f"{ratio:.2f} (require >= 0.50)")
-            if ratio < 0.50:
-                failures.append(
-                    f"wheel advance degrades {1 / ratio:.1f}x with a "
-                    "64x larger parked overflow population; the "
-                    "O(overflow) early-out is not engaging")
-        else:
-            failures.append(
-                "BM_WheelParkedOverflow/{64,4096} pair missing from "
-                "run")
-
-        wheel = fresh.get("BM_WheelRealisticDelays")
-        heap = fresh.get("BM_LegacyHeapRealisticDelays")
-        if wheel and heap:
-            ratio = wheel / heap
-            print(f"\nwheel/heap realistic-delay ratio: {ratio:.2f} "
-                  f"(require >= 1.50)")
-            if ratio < 1.50:
-                failures.append(
-                    f"timing wheel only {ratio:.2f}x the legacy "
-                    f"heap (expected >= 1.5x)")
-        else:
-            failures.append(
-                "wheel-vs-heap realistic-delay pair missing from run")
+        base = load_json(args.baseline, failures)
+        fresh = load_json(args.fresh, failures)
+        if fresh is not None:
+            fresh = items_per_second(fresh)
+            if base is not None:
+                check_baseline(items_per_second(base), fresh,
+                               args.threshold, failures)
+            check_fresh_ratios(fresh, failures)
 
     if args.sharded:
         check_sharded(args.sharded, args.min_speedup,
