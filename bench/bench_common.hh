@@ -14,10 +14,14 @@
  *                 bit-identical to a serial run; only the wall clock
  *                 changes.
  *   --shards=<n>  intra-machine shards per Machine (default 1 =
- *                 serial scheduler). Results stay bit-identical; the
- *                 sweep caps its effective --jobs at
- *                 hardware/shards so the two levels of parallelism
- *                 compose instead of oversubscribing.
+ *                 serial scheduler). Sharded runs defer sync grants,
+ *                 so results are bit-identical to a serial run with
+ *                 CCNUMA_SYNC_DEFER=1, not to the default serial
+ *                 run; a point with an armed subsystem falls back to
+ *                 serial and equals its --shards=1 run. The sweep
+ *                 caps its effective --jobs at hardware/shards so
+ *                 the two levels of parallelism compose instead of
+ *                 oversubscribing.
  *
  * Benches print the measured rows next to the paper's readable
  * values; EXPERIMENTS.md records the comparison for the committed

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "report/integrity.hh"
+#include "fault_table.hh"
 
 namespace ccnuma
 {
@@ -173,39 +173,39 @@ main(int argc, char **argv)
         });
 
     JsonReport session("corruption_campaign", o);
-    report::CorruptionScorecard card;
+    FaultTable card({{"workload", "TOTAL"},
+                     {"arch", "-"},
+                     {"domain", "-"},
+                     {"bits", "0"}},
+                    {{"instrs", &RunResult::instructions},
+                     {"flips", &RunResult::flipsInjected},
+                     {"skipped", &RunResult::flipsSkipped},
+                     {"crc-det", &RunResult::crcDetected},
+                     {"ecc-fix", &RunResult::eccCorrected},
+                     {"scrubbed", &RunResult::scrubCorrections},
+                     {"discards", &RunResult::containedDiscards},
+                     {"poisoned", &RunResult::linesPoisoned},
+                     {"escalated", &RunResult::integrityEscalations},
+                     {"escaped", &RunResult::escapedCorruptions}},
+                    {"instr-ok", "done"});
     bool all_ok = true;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &pr = results[i];
         for (const CampaignRun &cr : pr.runs) {
             const RunResult &r = cr.result;
-            report::CorruptionRow row;
-            row.workload = r.workload;
-            row.arch = r.arch;
-            row.domain = domainName(cr.domain);
-            row.bits = cr.bits;
-            row.instructions = r.instructions;
-            row.flipsInjected = r.flipsInjected;
-            row.flipsSkipped = r.flipsSkipped;
-            row.crcDetected = r.crcDetected;
-            row.eccCorrected = r.eccCorrected;
-            row.scrubCorrections = r.scrubCorrections;
-            row.containedDiscards = r.containedDiscards;
-            row.linesPoisoned = r.linesPoisoned;
-            row.escalations = r.integrityEscalations;
-            row.escaped = r.escapedCorruptions;
-            row.instructionsMatch =
+            const bool instr_ok =
                 r.instructions == pr.ref.instructions;
-            row.completed = r.completed;
-            card.addRow(row);
+            card.addRow({r.workload, r.arch, domainName(cr.domain),
+                         std::to_string(cr.bits)},
+                        r, {instr_ok, r.completed});
 
-            if (row.escaped != 0 || !row.instructionsMatch ||
-                !row.completed) {
+            if (r.escapedCorruptions != 0 || !instr_ok ||
+                !r.completed) {
                 all_ok = false;
                 std::cout << points[i].app << "/"
                           << archName(points[i].arch) << " "
-                          << row.domain << " x" << row.bits
-                          << ": escaped=" << row.escaped
+                          << domainName(cr.domain) << " x" << cr.bits
+                          << ": escaped=" << r.escapedCorruptions
                           << ", retired " << r.instructions << " vs "
                           << pr.ref.instructions << " clean"
                           << (r.completed ? "" : " (INCOMPLETE)")
@@ -214,7 +214,7 @@ main(int argc, char **argv)
         }
     }
 
-    session.table("corruption campaign", card.toTable());
+    session.table("corruption campaign", card.table());
     std::cout << (all_ok
                       ? "all campaign runs completed checker-clean "
                         "with zero escaped corruptions\n"

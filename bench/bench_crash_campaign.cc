@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "report/recovery.hh"
+#include "fault_table.hh"
 
 namespace ccnuma
 {
@@ -146,33 +146,32 @@ main(int argc, char **argv)
         });
 
     JsonReport session("crash_campaign", o);
-    report::CrashScorecard card;
+    FaultTable card(
+        {{"workload", "TOTAL"}, {"arch", "-"}, {"crash-tk", "0"}},
+        {{"instrs", &RunResult::instructions},
+         {"crashes", &RunResult::crashesInjected},
+         {"rebuilds", &RunResult::dirRebuilds},
+         {"lines", &RunResult::rebuildLines},
+         {"rebuild-tk", &RunResult::reconstructionTicksMax, true},
+         {"nacks", &RunResult::recoveryNacks},
+         {"timeouts", &RunResult::missTimeouts},
+         {"resends", &RunResult::timeoutResends},
+         {"probes", &RunResult::recoveryProbes},
+         {"degraded", &RunResult::degradedEntries},
+         {"migrations", &RunResult::migrations}},
+        {"instr-ok", "done"});
     bool all_ok = true;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &pr = results[i];
         for (std::size_t k = 0; k < pr.runs.size(); ++k) {
             const RunResult &r = pr.runs[k];
-            report::CrashRow row;
-            row.workload = r.workload;
-            row.arch = r.arch;
-            row.crashTick = pr.crashTicks[k];
-            row.instructions = r.instructions;
-            row.crashes = r.crashesInjected;
-            row.dirRebuilds = r.dirRebuilds;
-            row.rebuildLines = r.rebuildLines;
-            row.reconstructionTicksMax = r.reconstructionTicksMax;
-            row.recoveryNacks = r.recoveryNacks;
-            row.missTimeouts = r.missTimeouts;
-            row.timeoutResends = r.timeoutResends;
-            row.recoveryProbes = r.recoveryProbes;
-            row.degradedEntries = r.degradedEntries;
-            row.migrations = r.migrations;
-            row.instructionsMatch =
+            const bool instr_ok =
                 r.instructions == pr.ref.instructions;
-            row.completed = r.completed;
-            card.addRow(row);
+            card.addRow({r.workload, r.arch,
+                         std::to_string(pr.crashTicks[k])},
+                        r, {instr_ok, r.completed});
 
-            if (!row.instructionsMatch || !row.completed) {
+            if (!instr_ok || !r.completed) {
                 all_ok = false;
                 std::cout << points[i].app << "/"
                           << archName(points[i].arch) << " crash@"
@@ -185,7 +184,7 @@ main(int argc, char **argv)
         }
     }
 
-    session.table("crash campaign", card.toTable());
+    session.table("crash campaign", card.table());
     std::cout << (all_ok
                       ? "all campaign runs completed checker-clean "
                         "with identical instruction counts\n"

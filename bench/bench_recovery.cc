@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "bench_common.hh"
-#include "report/recovery.hh"
+#include "fault_table.hh"
 #include "verify/checker.hh"
 
 namespace ccnuma
@@ -84,7 +84,17 @@ main(int argc, char **argv)
                     std::to_string(seed) + ")",
                 o);
 
-    report::RecoveryScorecard card;
+    FaultTable card({{"workload", "TOTAL"}},
+                    {{"instrs", &RunResult::instructions},
+                     {"faults", &RunResult::faultsInjected},
+                     {"rexmit", &RunResult::xportRetransmits},
+                     {"timeout", &RunResult::xportTimeouts},
+                     {"dup-drop", &RunResult::xportDupsDropped},
+                     {"reorder", &RunResult::xportReordersHealed},
+                     {"nack-retry", &RunResult::nackRetries},
+                     // protocol-level backoff waits
+                     {"backoff-tk", &RunResult::retryBackoffTicks}},
+                    {"done"});
     bool all_exact = true;
     for (const char *app : kKernels) {
         if (!o.wantsApp(app))
@@ -101,19 +111,7 @@ main(int argc, char **argv)
             campaignConfig(app, o, seed).withReliableTransport();
         RunResult r = run(app, cfg, o);
 
-        report::RecoveryRow row;
-        row.workload = r.workload;
-        row.instructions = r.instructions;
-        row.faultsInjected = r.faultsInjected;
-        row.retransmits = r.xportRetransmits;
-        row.timeouts = r.xportTimeouts;
-        row.dupsDropped = r.xportDupsDropped;
-        row.reordersHealed = r.xportReordersHealed;
-        row.nackRetries = r.nackRetries;
-        row.backoffTicks =
-            r.retryBackoffTicks; // protocol-level backoff waits
-        row.completed = r.completed;
-        card.addRow(row);
+        card.addRow({r.workload}, r, {r.completed});
 
         if (r.instructions != ref.instructions) {
             all_exact = false;
@@ -122,7 +120,7 @@ main(int argc, char **argv)
                       << " clean -- MISMATCH\n";
         }
     }
-    card.print(std::cout);
+    card.table().print(std::cout);
     std::cout << (all_exact
                       ? "all kernels retired identical instruction "
                         "counts with recovery enabled\n"

@@ -18,7 +18,6 @@ Network::init()
         sp.pairLastArrive.assign(map_->numNodes, 0);
     dst_.resize(map_->numNodes);
     mailboxes_.resize(map_->numShards);
-    tracerOfNode_.assign(map_->numNodes, nullptr);
 
     statGroup_.add(&statMessages);
     statGroup_.add(&statBytes);
@@ -83,8 +82,8 @@ Network::planEgress(NodeId src, NodeId dst, Tick ser, Tick &arrive_at,
     if (tap_ != nullptr) {
         // Fault injection: the tap may delay, duplicate, or drop the
         // delivery. Port bookkeeping above stays untouched — the
-        // injected perturbation is on top of the modeled timing. An
-        // early delivery would undercut the sharded lookahead window.
+        // injected perturbation is on top of the modeled timing, and
+        // never earlier than it.
         const Tick untapped = arrive_at;
         if (!tap_->onDelivery(src, dst, arrive_at, duplicate_at))
             return false;
@@ -98,9 +97,8 @@ void
 Network::noteSpan(NodeId src, NodeId dst, unsigned bytes,
                   Tick send_tick, Tick delivered)
 {
-    if (tracerOfNode_[dst])
-        tracerOfNode_[dst]->netSpan(src, dst, bytes, send_tick,
-                                    delivered);
+    if (tracer_)
+        tracer_->netSpan(src, dst, bytes, send_tick, delivered);
 }
 
 void
@@ -115,13 +113,6 @@ Network::drainMailboxes()
         }
         box.clear();
     }
-}
-
-void
-Network::setTracers(const std::vector<obs::Tracer *> &per_node)
-{
-    ccnuma_assert(per_node.size() == src_.size());
-    tracerOfNode_ = per_node;
 }
 
 void

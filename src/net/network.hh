@@ -71,11 +71,10 @@ class NetworkTap
     /**
      * Called for every message once its natural delivery tick is
      * known. @p delivered may be moved later, never earlier: the
-     * sharded scheduler's lookahead window assumes no message lands
-     * sooner than the network's minimum latency, and the network
-     * panics on a tap that breaks this. Setting @p duplicate_at
-     * nonzero schedules a second delivery of the same message at
-     * that tick, under the same rule.
+     * network panics on a tap that breaks this, so an injected
+     * perturbation never undercuts the modeled latency. Setting
+     * @p duplicate_at nonzero schedules a second delivery of the
+     * same message at that tick, under the same rule.
      * @return false to drop the message entirely.
      */
     virtual bool onDelivery(NodeId src, NodeId dst, Tick &delivered,
@@ -145,27 +144,15 @@ class Network
     NetworkTap *tap() const { return tap_; }
 
     /**
-     * Adaptive-window support: have every cross-shard send clamp the
+     * Adaptive-window support: every cross-shard send clamps the
      * sending queue's window stop to arrive_at + @p margin, where
-     * @p margin is the machine's lookahead (the earliest
-     * a consequence of the send could re-enter the sender's shard).
-     * Off by default; lock-step windows never need it.
+     * @p margin is the machine's lookahead (the earliest a
+     * consequence of the send could re-enter the sender's shard).
      */
-    void
-    setSendClampMargin(Tick margin)
-    {
-        clampSends_ = true;
-        clampMargin_ = margin;
-    }
+    void setSendClampMargin(Tick margin) { clampMargin_ = margin; }
 
-    /** Record message flights with one tracer for every node. */
-    void setTracer(obs::Tracer *t)
-    {
-        tracerOfNode_.assign(src_.size(), t);
-    }
-
-    /** Per-node tracers (sharded: each node's shard tracer). */
-    void setTracers(const std::vector<obs::Tracer *> &per_node);
+    /** Record message flights with @p t (null: no tracing). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     stats::Group &statGroup() { return statGroup_; }
 
@@ -278,10 +265,7 @@ class Network
             // machine's lookahead margin). Clamp the sender's own
             // window there so its clock never outruns a possible
             // reply; the planner's quiet-shard widening relies on it.
-            if (clampSends_) {
-                map_->of(src).clampWindowStop(arrive_at +
-                                              clampMargin_);
-            }
+            map_->of(src).clampWindowStop(arrive_at + clampMargin_);
             mailboxes_[map_->shardOf(src)].push_back(MailboxEntry{
                 std::move(arrival), arrive_at, send_tick, ctx, seq,
                 dst, name});
@@ -339,10 +323,9 @@ class Network
     /** Per-source-shard buffers of cross-shard arrivals. */
     std::vector<std::vector<MailboxEntry>> mailboxes_;
     NetworkTap *tap_ = nullptr;
-    /** Clamp senders' window stops on cross-shard sends (adaptive). */
-    bool clampSends_ = false;
+    /** Window-stop margin past a cross-shard arrival (adaptive). */
     Tick clampMargin_ = 0;
-    std::vector<obs::Tracer *> tracerOfNode_;
+    obs::Tracer *tracer_ = nullptr;
     stats::Group statGroup_;
 };
 

@@ -8,29 +8,11 @@ namespace ccnuma
 {
 
 ReliableTransport::ReliableTransport(const std::string &name,
-                                     const ShardMap &map,
-                                     Network &net,
-                                     const ReliableParams &p,
-                                     DeliverFn deliver)
-    : name_(name), map_(&map), numNodes_(map.numNodes), net_(net),
-      params_(p), deliver_(std::move(deliver)), statGroup_(name)
-{
-    init();
-}
-
-ReliableTransport::ReliableTransport(const std::string &name,
                                      EventQueue &eq, Network &net,
                                      const ReliableParams &p,
                                      DeliverFn deliver)
-    : name_(name), ownMap_(ShardMap::single(eq, net.numNodes())),
-      map_(&ownMap_), numNodes_(net.numNodes()), net_(net),
+    : name_(name), eq_(eq), numNodes_(net.numNodes()), net_(net),
       params_(p), deliver_(std::move(deliver)), statGroup_(name)
-{
-    init();
-}
-
-void
-ReliableTransport::init()
 {
     if (params_.retransmitTimeout == 0)
         fatal("%s: retransmitTimeout must be nonzero", name_.c_str());
@@ -38,7 +20,6 @@ ReliableTransport::init()
 
     tx_.resize(static_cast<std::size_t>(numNodes_) * numNodes_);
     rx_.resize(static_cast<std::size_t>(numNodes_) * numNodes_);
-    tracerOfNode_.assign(numNodes_, nullptr);
     fenced_.assign(numNodes_, 0);
     dead_.assign(numNodes_, 0);
 
@@ -51,13 +32,6 @@ ReliableTransport::init()
     statGroup_.add(&statBackoffTicks);
     statGroup_.add(&statCrcChecked);
     statGroup_.add(&statCrcDetected);
-}
-
-void
-ReliableTransport::setTracers(const std::vector<obs::Tracer *> &per_node)
-{
-    ccnuma_assert(per_node.size() == numNodes_);
-    tracerOfNode_ = per_node;
 }
 
 Tick
@@ -111,13 +85,13 @@ ReliableTransport::send(const Msg &msg, unsigned bytes)
     std::uint64_t seq = ++p.nextSeq;
     ccnuma_trace(msg.lineAddr,
                  "%8llu xport send %s n%u->n%u seq=%llu",
-                 (unsigned long long)map_->of(msg.src).curTick(),
+                 (unsigned long long)eq_.curTick(),
                  msgTypeName(msg.type), msg.src, msg.dst,
                  (unsigned long long)seq);
     TxFrame f;
     f.msg = msg;
     f.bytes = bytes;
-    f.firstSend = map_->of(msg.src).curTick();
+    f.firstSend = eq_.curTick();
     p.unacked.emplace(seq, f);
     ++p.dataFrames;
     transmit(msg.src, msg.dst, seq, f);
@@ -162,11 +136,11 @@ ReliableTransport::onFrameArrive(NodeId src, NodeId dst,
     if (!wire::frameCrcOk(frame)) {
         ++r.crcDetected;
         ccnuma_trace(0, "%8llu xport crc-drop n%u->n%u",
-                     (unsigned long long)map_->of(dst).curTick(),
+                     (unsigned long long)eq_.curTick(),
                      src, dst);
-        if (obs::Tracer *t = tracerOfNode_[dst]) {
-            t->faultEvent(obs::FaultKind::CrcDrop, dst, 0,
-                          map_->of(dst).curTick());
+        if (tracer_) {
+            tracer_->faultEvent(obs::FaultKind::CrcDrop, dst, 0,
+                                eq_.curTick());
         }
         return; // no ack: the sender's timer re-delivers it
     }
@@ -186,7 +160,7 @@ ReliableTransport::onDataArrive(NodeId src, NodeId dst,
         // after restart.
         ccnuma_trace(msg.lineAddr,
                      "%8llu xport fence-drop %s n%u->n%u seq=%llu",
-                     (unsigned long long)map_->of(dst).curTick(),
+                     (unsigned long long)eq_.curTick(),
                      msgTypeName(msg.type), src, dst,
                      (unsigned long long)seq);
         ++fenceDrops_;
@@ -200,7 +174,7 @@ ReliableTransport::onDataArrive(NodeId src, NodeId dst,
         ccnuma_trace(msg.lineAddr,
                      "%8llu xport dup-drop %s n%u->n%u seq=%llu "
                      "(expect %llu)",
-                     (unsigned long long)map_->of(dst).curTick(),
+                     (unsigned long long)eq_.curTick(),
                      msgTypeName(msg.type), src, dst,
                      (unsigned long long)seq,
                      (unsigned long long)r.nextExpected);
@@ -211,7 +185,7 @@ ReliableTransport::onDataArrive(NodeId src, NodeId dst,
     if (seq == r.nextExpected) {
         ccnuma_trace(msg.lineAddr,
                      "%8llu xport deliver %s n%u->n%u seq=%llu",
-                     (unsigned long long)map_->of(dst).curTick(),
+                     (unsigned long long)eq_.curTick(),
                      msgTypeName(msg.type), src, dst,
                      (unsigned long long)seq);
         deliver_(msg);
@@ -250,7 +224,7 @@ ReliableTransport::scheduleAck(NodeId src, NodeId dst)
     if (r.ackPending)
         return;
     r.ackPending = true;
-    map_->of(dst).scheduleFunctionIn(
+    eq_.scheduleFunctionIn(
         [this, src, dst] {
             PairRx &rr = rx_[pairIdx(src, dst)];
             rr.ackPending = false;
@@ -292,7 +266,7 @@ ReliableTransport::armTimer(NodeId src, NodeId dst)
     PairTx &p = tx_[pairIdx(src, dst)];
     p.timerArmed = true;
     std::uint64_t gen = ++p.timerGen;
-    map_->of(src).scheduleFunctionIn(
+    eq_.scheduleFunctionIn(
         [this, src, dst, gen] { onTimeout(src, dst, gen); },
         rtoFor(p.backoffLevel));
 }
@@ -308,11 +282,11 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
         p.timerArmed = false;
         return;
     }
-    Tick now = map_->of(src).curTick();
+    Tick now = eq_.curTick();
     ++p.timeouts;
     p.backoffTicks += rtoFor(p.backoffLevel);
-    if (obs::Tracer *t = tracerOfNode_[src])
-        t->xportEvent(obs::SpanKind::XportTimeout, src, dst, now);
+    if (tracer_)
+        tracer_->xportEvent(obs::SpanKind::XportTimeout, src, dst, now);
     // Go-back-N: retransmit every unacknowledged frame in sequence
     // order. The receiver discards the ones it already holds, so one
     // timeout heals any number of losses in the window.
@@ -343,9 +317,9 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
                   (unsigned long long)now, p.unacked.size());
         }
         ++p.retransmits;
-        if (obs::Tracer *t = tracerOfNode_[src]) {
-            t->xportEvent(obs::SpanKind::XportRetransmit, src, dst,
-                          now);
+        if (tracer_) {
+            tracer_->xportEvent(obs::SpanKind::XportRetransmit, src,
+                                dst, now);
         }
         transmit(src, dst, seq, f);
     }

@@ -26,13 +26,12 @@
  * data frames keep their natural delivery timing and only the
  * ack/retransmit traffic is added on top.
  *
- * Sharding: per-pair state divides cleanly by side. A pair's sender
- * state (send, ack arrival, retransmission timer) is touched only by
- * events on the source node's queue; its receiver state (data
- * arrival, delayed ack) only by events on the destination's. State
- * lives in flat per-pair arrays so no container ever rehashes under
- * concurrent access, and counters live in the per-pair pods, folded
- * into the published stats once threads are quiescent.
+ * The transport runs on the serial scheduler only (an armed
+ * transport is a serial fallback, MachineConfig::lookahead), so all
+ * of its events go on one queue. Per-pair state lives in flat arrays
+ * split by side (sender: send, ack arrival, retransmission timer;
+ * receiver: data arrival, delayed ack), and counters live in the
+ * per-pair pods, folded into the published stats on demand.
  */
 
 #ifndef CCNUMA_NET_RELIABLE_HH
@@ -49,7 +48,6 @@
 #include "protocol/messages.hh"
 #include "protocol/wire.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -100,11 +98,6 @@ class ReliableTransport
   public:
     using DeliverFn = std::function<void(const Msg &)>;
 
-    ReliableTransport(const std::string &name, const ShardMap &map,
-                      Network &net, const ReliableParams &p,
-                      DeliverFn deliver);
-
-    /** Single-queue convenience constructor (unit tests). */
     ReliableTransport(const std::string &name, EventQueue &eq,
                       Network &net, const ReliableParams &p,
                       DeliverFn deliver);
@@ -179,14 +172,8 @@ class ReliableTransport
         return pairDeadDeferrals_;
     }
 
-    /** Record timeouts/retransmits with one tracer for all nodes. */
-    void setTracer(obs::Tracer *t)
-    {
-        tracerOfNode_.assign(numNodes_, t);
-    }
-
-    /** Per-node tracers (sharded: each node's shard tracer). */
-    void setTracers(const std::vector<obs::Tracer *> &per_node);
+    /** Record timeouts/retransmits with @p t (null: no tracing). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Dump per-pair transport state for deadlock diagnosis. */
     void dumpState(std::ostream &os) const;
@@ -195,7 +182,7 @@ class ReliableTransport
 
     /**
      * Fold the per-pair counters into the published stats below.
-     * Idempotent; called once shard threads are quiescent.
+     * Idempotent.
      */
     void syncStats();
 
@@ -243,10 +230,7 @@ class ReliableTransport
         Tick firstSend = 0;
     };
 
-    /**
-     * Sender-side state of one (src,dst) pair; touched only by
-     * events on the source node's queue.
-     */
+    /** Sender-side state of one (src,dst) pair. */
     struct PairTx
     {
         std::uint64_t nextSeq = 0; ///< last assigned
@@ -260,10 +244,7 @@ class ReliableTransport
         Tick backoffTicks = 0;
     };
 
-    /**
-     * Receiver-side state of one (src,dst) pair; touched only by
-     * events on the destination node's queue.
-     */
+    /** Receiver-side state of one (src,dst) pair. */
     struct PairRx
     {
         std::uint64_t nextExpected = 1;
@@ -282,7 +263,6 @@ class ReliableTransport
         return static_cast<std::size_t>(src) * numNodes_ + dst;
     }
 
-    void init();
     void transmit(NodeId src, NodeId dst, std::uint64_t seq,
                   const TxFrame &f);
     void onFrameArrive(NodeId src, NodeId dst,
@@ -296,15 +276,14 @@ class ReliableTransport
     Tick rtoFor(unsigned backoff_level) const;
 
     std::string name_;
-    ShardMap ownMap_;
-    const ShardMap *map_;
+    EventQueue &eq_;
     unsigned numNodes_;
     Network &net_;
     ReliableParams params_;
     DeliverFn deliver_;
     std::vector<PairTx> tx_;
     std::vector<PairRx> rx_;
-    std::vector<obs::Tracer *> tracerOfNode_;
+    obs::Tracer *tracer_ = nullptr;
     std::vector<char> fenced_;   ///< receive-fenced (crashed) nodes
     std::vector<char> dead_;     ///< permanently fenced nodes
     PairDeadHook pairDeadHook_;

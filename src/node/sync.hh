@@ -12,16 +12,20 @@
  * sleep and are woken by the granting event, paying one additional
  * coherence access on the handoff.
  *
- * Grants are always deferred: a barrier release or lock handoff
- * reaches the granted processor handoffTicks after the operation
- * that caused it — modeling the flag/line propagation delay of a real
- * sleeping waiter — and the grant event carries an explicit
- * deterministic key from the sync manager's own context. Deferral is
- * also what makes the manager shardable: operations performed during
- * a window are recorded per shard and processed at the window
- * barrier in (event key) merge order, which is exactly the
- * order the serial path processes them inline, so grant timing and
- * sequence numbers are bit-identical in both modes.
+ * A default serial run wakes a granted processor with a zero-delay
+ * event (the seed's timing). Sharded runs, and serial runs with
+ * forceDefer (CCNUMA_SYNC_DEFER=1), defer every grant instead: a
+ * barrier release or lock handoff reaches the granted processor
+ * handoffTicks after the operation that caused it — modeling the
+ * flag/line propagation delay of a real sleeping waiter — and the
+ * grant event carries an explicit deterministic key from the sync
+ * manager's own context. Deferral is what makes the manager
+ * shardable: operations performed during a window are recorded per
+ * shard and processed at the window barrier in (event key) merge
+ * order, which is exactly the order the deferred serial path
+ * processes them inline, so a sharded run's grant timing and
+ * sequence numbers are bit-identical to the deferred serial run's,
+ * not the default serial run's.
  */
 
 #ifndef CCNUMA_NODE_SYNC_HH
@@ -61,15 +65,6 @@ class SyncManager
     /** Grant propagation delay (MachineConfig::syncHandoffTicks). */
     void setHandoffTicks(Tick d) { handoffTicks_ = d; }
     Tick handoffTicks() const { return handoffTicks_; }
-
-    /**
-     * Adaptive-window support: have every recorded operation clamp
-     * the posting queue's window stop to op.tick + handoffTicks (the
-     * earliest its own grant could land back on that queue). Under
-     * lock-step windows the clamp is a provable no-op, so it stays
-     * off and the hot path skips it.
-     */
-    void setAdaptiveWindows(bool on) { adaptiveWindows_ = on; }
 
     /**
      * Force the deferred (sharded-style) grant path even on a single
@@ -122,7 +117,7 @@ class SyncManager
      * barrier with all shard threads quiescent. Serial mode processes
      * inline and never buffers, so this is then a no-op.
      *
-     * Under adaptive windows shards run *different* spans, so an
+     * Adaptive windows run *different* spans per shard, so an
      * operation posted by a far-ahead shard may sort after operations
      * a lagging shard has not yet posted. @p safe is the tick every
      * shard has provably reached (the post-drain minimum of all
@@ -131,9 +126,8 @@ class SyncManager
      * to op.tick + handoffTicks, since its grant can wake a processor
      * whose next sync operation would sort before a later buffered
      * one. The unprocessed suffix is deferred to a later barrier.
-     * With the default safe = maxTick (lock-step windows, where
-     * every shard reached the same end) everything is processed, so
-     * behavior is exactly the PR 5 merge.
+     * With the default safe = maxTick (every shard known to have
+     * reached the same end) everything is processed.
      */
     void processPending(Tick safe = maxTick);
 
@@ -216,7 +210,6 @@ class SyncManager
     Addr lockRegionOffset_;
     unsigned participants_ = 1;
     Tick handoffTicks_ = 16;
-    bool adaptiveWindows_ = false;
     bool forceDefer_ = false;
     /** Per-context grant sequence (advances in processing order). */
     std::uint64_t syncSeq_ = 0;

@@ -137,8 +137,10 @@ canonicalMachineConfig(const MachineConfig &cfg)
     // sharded runs always defer — so the key carries the effective
     // deferral mode, letting a deferred serial oracle share entries
     // with every sharded point while undeferred serial stays its own.
-    // A shard request that falls back to serial (a zero lookahead)
-    // runs the undeferred serial scheduler and keys as such.
+    // A shard request that falls back to serial (a checked, traced or
+    // otherwise armed run, or a zero lookahead) runs the undeferred
+    // serial scheduler and keys as such: obs.* stays out of the key,
+    // and with shards > 1 a traced run falls back like a checked run.
     c.field("sync.deferredGrants",
             cfg.lookahead() > 0 || cfg.forceSyncDefer);
 
@@ -299,10 +301,16 @@ canonicalWorkload(const std::string &app, const WorkloadParams &wp)
 
 PointKey
 makePointKey(const MachineConfig &cfg, const std::string &app,
-             const WorkloadParams &wp)
+             const WorkloadParams &wp, bool replay)
 {
     PointKey k;
     k.canonical = canonicalWorkload(app, wp);
+    // Trace replay changes Cholesky's schedule (DESIGN.md §19), so a
+    // run with replay off is another simulation. The row appears only
+    // then, so replayed keys and the files persisted under them keep
+    // their hash.
+    if (!replay)
+        Canon(k.canonical).field("workload.replay", false);
     k.canonical += canonicalMachineConfig(cfg);
     k.hash = hash64(k.canonical);
     return k;

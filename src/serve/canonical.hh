@@ -11,14 +11,18 @@
  * the full text kept alongside to disarm hash collisions (a collision
  * bypasses the cache, it never merges two points). The config keyed
  * must be the one that runs: SimPoint::key() applies the CCNUMA_*
- * environment overrides first, and the deferred-grant row applies
- * the serial fallback rule (MachineConfig::lookahead).
+ * environment overrides first and passes the trace-replay state
+ * (CCNUMA_REPLAY), and the deferred-grant row applies the serial
+ * fallback rule (MachineConfig::lookahead).
  *
  * Two groups of fields are deliberately EXCLUDED because the repo's
  * identity test suites prove them result-invariant:
  *   - MachineConfig::shards (tests/integration/test_sharded_identity):
- *     a sharded run is bit-identical to serial, so a point simulated
- *     with 4 shards can serve a request for the same point at 1;
+ *     a sharded run is bit-identical to the serial run with deferred
+ *     sync grants, so a point simulated with 4 shards can serve a
+ *     request for the same point at 2 or at 1 with forceSyncDefer
+ *     (the sync.deferredGrants row tells those apart from a default
+ *     serial run, and from a sharded request that falls back);
  *   - MachineConfig::obs (tests/obs traced-vs-untraced identity):
  *     tracing writes side files but never changes a RunResult.
  * Everything else — including the verify/reliable/recovery/integrity
@@ -76,10 +80,15 @@ struct PointKey
     std::string canonical;
 };
 
-/** Key of the point (cfg, app, wp). wp.seed is part of the key. */
+/**
+ * Key of the point (cfg, app, wp). wp.seed is part of the key.
+ * @param replay whether SimSession::run replays captured workload
+ *        streams (CCNUMA_REPLAY); only a run without replay adds a
+ *        row.
+ */
 PointKey makePointKey(const MachineConfig &cfg,
                       const std::string &app,
-                      const WorkloadParams &wp);
+                      const WorkloadParams &wp, bool replay = true);
 
 } // namespace serve
 } // namespace ccnuma

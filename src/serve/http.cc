@@ -210,11 +210,13 @@ HttpServer::stop()
         return;
     }
     // Shut the listener down; accept() returns and the loop exits.
+    // The descriptor is closed only after the acceptor has joined:
+    // acceptLoop reads listenFd_ until then.
     ::shutdown(listenFd_, SHUT_RDWR);
-    ::close(listenFd_);
-    listenFd_ = -1;
     if (acceptor_.joinable())
         acceptor_.join();
+    ::close(listenFd_);
+    listenFd_ = -1;
     std::vector<std::thread> workers;
     {
         std::lock_guard<std::mutex> g(workersMutex_);

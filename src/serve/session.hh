@@ -28,6 +28,7 @@
 #include "serve/canonical.hh"
 #include "serve/result_cache.hh"
 #include "system/machine.hh"
+#include "workload/replay.hh"
 #include "workload/workload.hh"
 
 namespace ccnuma
@@ -42,13 +43,15 @@ struct SimPoint
     MachineConfig cfg; ///< all tweaks applied
     WorkloadParams wp; ///< thread count, scale, seed, ...
 
-    /** Content address of the simulation Machine(cfg) runs: the
-     *  config as resolved by the CCNUMA_* environment overrides. */
+    /** Content address of the simulation SimSession::run runs: the
+     *  config as resolved by the CCNUMA_* environment overrides, and
+     *  whether the workload stream is replayed (CCNUMA_REPLAY). */
     PointKey
     key() const
     {
         MachineConfig resolved = cfg;
-        return makePointKey(resolved.withEnvOverrides(), app, wp);
+        return makePointKey(resolved.withEnvOverrides(), app, wp,
+                            globalReplayCache() != nullptr);
     }
 };
 

@@ -3,10 +3,12 @@
  * Intra-machine sharded simulation support.
  *
  * A Machine can run on one event queue (serial) or on several, one
- * per shard of SMP nodes, advanced in conservative windows: nodes
- * interact only through the point-to-point network, whose
- * minimum end-to-end latency (serialization + flight) bounds how far
- * any shard can safely run ahead of the others. ShardMap is the
+ * per shard of SMP nodes, advanced in adaptive windows (DESIGN.md
+ * §19): nodes interact only through the point-to-point network and
+ * the sync manager, whose minimum latencies bound how far any shard
+ * can safely run ahead of the others. Only a clean machine shards;
+ * every armed verification, observability or fault-handling
+ * subsystem runs serially (MachineConfig::lookahead). ShardMap is the
  * routing table from node to owning queue plus the deterministic
  * context numbering shared by the serial and sharded paths; ShardTeam
  * is the pool of persistent worker threads that execute one window

@@ -181,6 +181,10 @@ MachineConfig::lookahead(const char **fallback) const
         return 0;
     const Tick w = std::min(2 * net.portCycle + net.flightLatency,
                             syncHandoffTicks);
+    // Only the clean paper machine shards (DESIGN.md §15): every
+    // armed verification, observability or fault-handling subsystem
+    // keeps machine-wide state and runs on the serial scheduler. The
+    // first match names the fallback.
     const char *why = nullptr;
     if (verify.checker) {
         why = "the coherence invariant checker reads global machine "
@@ -199,6 +203,19 @@ MachineConfig::lookahead(const char **fallback) const
     } else if (w == 0) {
         why = "the lookahead window is empty (a zero sync hand-off "
               "leaves no safe slack)";
+    } else if (verify.watchdog) {
+        why = "the hang watchdog schedules its progress checks on one "
+              "event queue";
+    } else if (obs.enabled) {
+        why = "the tracer records the whole machine into one "
+              "instance";
+    } else if (verify.faults.anyEnabled()) {
+        why = "fault injection is a verification run, and "
+              "verification runs on the serial scheduler";
+    } else if (reliable.enabled || recovery.enabled ||
+               integrity.enabled) {
+        why = "the reliable transport, crash recovery and integrity "
+              "keep their timers and fences on one event queue";
     }
     if (fallback)
         *fallback = why;

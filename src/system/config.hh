@@ -46,22 +46,28 @@ struct MachineConfig
     PlacementPolicy placement = PlacementPolicy::RoundRobin;
     Addr syncBase = 0x4000'0000;
     /**
-     * Barrier/lock grant hand-off latency (ticks): every sync grant
-     * reaches its processor this long after the triggering
-     * operation, modeling the flag-propagation delay of a real
-     * flag-based barrier. Also the ceiling of the sharded
-     * scheduler's lookahead window, so it must stay at or below the
-     * network's minimum latency for sharding to pay off.
+     * Barrier/lock grant hand-off latency (ticks) of the deferred
+     * grant path: in a sharded run, or a serial one with
+     * forceSyncDefer, every sync grant reaches its processor this
+     * long after the triggering operation, modeling the
+     * flag-propagation delay of a real flag-based barrier. A default
+     * serial run wakes waiters with zero delay and ignores it. Also
+     * the ceiling of the sharded scheduler's lookahead window, so it
+     * must stay at or below the network's minimum latency for
+     * sharding to pay off.
      */
     Tick syncHandoffTicks = 16;
     /**
      * Event-queue shards for intra-machine parallel simulation
      * (PR 5). 1 = the classic serial scheduler; k > 1 partitions the
-     * nodes over k queues advanced in adaptive windows (lock-step
-     * windows while the hang watchdog is armed), with results
-     * bit-identical to serial. numNodes must divide evenly. The
-     * CCNUMA_SHARDS environment variable overrides without a config
-     * change.
+     * nodes over k queues advanced in adaptive windows, with results
+     * bit-identical to the serial run with forceSyncDefer (sharded
+     * runs always defer sync grants). Only the clean machine shards:
+     * arming any checker, watchdog, tracer, fault, the reliable
+     * transport (or recovery or integrity) or first-touch placement
+     * takes the counted serial fallback of lookahead(). numNodes
+     * must divide evenly. The CCNUMA_SHARDS environment variable
+     * overrides without a config change.
      */
     unsigned shards = 1;
     /**
@@ -182,9 +188,11 @@ struct MachineConfig
      * egress port cycle, the switch flight, one ingress port cycle)
      * or a sync grant hand-off, whichever is smaller. 0 when the config
      * runs serially: shards == 1, or a serial fallback applies, and
-     * then @p fallback (if given) receives its reason. A pure
-     * function of the config, shared by Machine's scheduler choice
-     * and the result-cache key.
+     * then @p fallback (if given) receives its reason. Only the clean
+     * paper machine shards; every armed verification, observability
+     * or fault-handling subsystem falls back. A pure function of the
+     * config, shared by Machine's scheduler choice and the
+     * result-cache key.
      */
     Tick lookahead(const char **fallback = nullptr) const;
 

@@ -58,7 +58,7 @@ Machine::Machine(const MachineConfig &cfg)
     sync_->setForceDefer(cfg_.forceSyncDefer);
     if (cfg_.reliable.enabled) {
         xport_ = std::make_unique<ReliableTransport>(
-            "xport", shardMap_, *net_, cfg_.reliable,
+            "xport", *queues_[0], *net_, cfg_.reliable,
             [this](const Msg &m) { deliverMsg(m); });
         if (injector_) {
             xport_->setCorruptHook(
@@ -125,20 +125,12 @@ Machine::Machine(const MachineConfig &cfg)
         tc.lineBytes = cfg_.node.lineBytes;
         tc.engineType = cfg_.node.cc.engineType;
         tc.homeOf = [this](Addr a) { return map_.homeOf(a); };
-        // One tracer per shard so hooks record without locking; a
-        // sharded run merges them into tracers_[0] at the end.
-        for (unsigned s = 0; s < cfg_.shards; ++s)
-            tracers_.push_back(
-                std::make_unique<obs::Tracer>(cfg_.obs, tc));
-        pendingNotes_.resize(cfg_.shards);
-        std::vector<obs::Tracer *> per_node(cfg_.numNodes);
-        for (NodeId n = 0; n < cfg_.numNodes; ++n)
-            per_node[n] = tracers_[shardMap_.shardOf(n)].get();
-        net_->setTracers(per_node);
+        tracer_ = std::make_unique<obs::Tracer>(cfg_.obs, tc);
+        obs::Tracer *t = tracer_.get();
+        net_->setTracer(t);
         if (xport_)
-            xport_->setTracers(per_node);
+            xport_->setTracer(t);
         for (auto &nd : nodes_) {
-            obs::Tracer *t = per_node[nd->id()];
             nd->cc().setTracer(t);
             nd->bus().setTracer(t, nd->id());
             for (unsigned i = 0; i < nd->numProcs(); ++i)
@@ -191,18 +183,11 @@ Machine::Machine(const MachineConfig &cfg)
             [this](std::ostream &os) { dumpDiagnostics(os); });
     }
 
-    // Adaptive windows need every widening decision to be taken at a
-    // barrier with all shards quiescent; the hang watchdog also polls
-    // at barriers, and a shard running an arbitrarily wide window
-    // would starve it, so a watchdog pins lock-step windows.
-    adaptiveActive_ = shardMap_.sharded() && !watchdog_;
-    if (adaptiveActive_) {
-        // A widened shard's clock may only outrun a peer when that
-        // peer provably cannot act; its own sends and sync posts are
-        // the loopholes, closed by these self-clamps (DESIGN.md §19).
-        net_->setSendClampMargin(lookahead_);
-        sync_->setAdaptiveWindows(true);
-    }
+    // A widened shard's clock may only outrun a peer when that peer
+    // provably cannot act; its own sends and sync posts are the
+    // loopholes, closed by self-clamps (DESIGN.md §19). The sync
+    // manager clamps by its hand-off, the network by the lookahead.
+    net_->setSendClampMargin(lookahead_);
 }
 
 Machine::~Machine() = default;
@@ -219,18 +204,8 @@ Machine::deliverMsg(const Msg &msg)
 {
     if (checker_ && !checker_->noteDeliver(msg))
         return; // detected injected fault; delivery swallowed
-    if (!tracers_.empty()) {
-        // Classification must see the delivery on every shard whose
-        // procs might have the line's miss open. The destination's
-        // own shard observes it inline (its miss may restart within
-        // this window); the others at the window barrier — safe,
-        // because a cross-shard-flagged miss cannot restart sooner
-        // than a full network flight, i.e. not inside this window.
-        unsigned s = shardMap_.shardOf(msg.dst);
-        tracers_[s]->noteDeliver(msg);
-        if (shardMap_.sharded())
-            pendingNotes_[s].push_back(msg);
-    }
+    if (tracer_)
+        tracer_->noteDeliver(msg);
     nodes_.at(msg.dst)->cc().netReceive(msg);
 }
 
@@ -260,17 +235,14 @@ Machine::dumpDiagnostics(std::ostream &os)
     os << "pending events: " << pending << "\n";
     // Shard-aware scheduler state: when a sharded run hangs, the
     // per-shard clocks and event horizons show which queue stalled
-    // the lock-step window barrier.
+    // the window barrier.
     os << "scheduler: " << shardMap_.numShards << " shard(s)";
     if (shardsRequested_ != shardMap_.numShards) {
         os << " (requested " << shardsRequested_ << "; fallback: "
            << fallbackReason_ << ")";
     }
-    if (shardMap_.sharded()) {
-        os << ", lookahead window " << lookahead_ << " ticks, "
-           << (adaptiveActive_ ? "adaptive" : "lock-step")
-           << " windows";
-    }
+    if (shardMap_.sharded())
+        os << ", lookahead window " << lookahead_ << " ticks";
     os << "\n";
     for (unsigned s = 0; s < queues_.size(); ++s) {
         os << "  shard " << s << ": tick " << queues_[s]->curTick()
@@ -385,84 +357,56 @@ Machine::runWindows(const std::function<bool()> &done, Tick limit)
         Tick end = limit < maxTick - 1 ? limit + 1 : maxTick;
         Tick step = end - t0 > lookahead_ ? t0 + lookahead_ : end;
         ++windowsRun_;
+        // Per-shard window ends: shard s may not outrun the earliest
+        // event of any *other non-empty* shard — the only peers able
+        // to originate cross-shard traffic this window — nor the
+        // earliest deferred sync operation, by more than the
+        // lookahead. An empty peer is provably quiet: mailboxes drain
+        // only at barriers, so it cannot act before the next planning
+        // step sees whatever woke it, and the sender's own
+        // self-clamps (network send, sync post) keep this shard's
+        // clock below any reply such a wake could produce. A shard
+        // whose peers are all empty therefore saturates to the run
+        // limit and executes at full serial speed until traffic
+        // appears.
+        Tick sync_min = sync_->pendingMinWhen();
+        for (unsigned s = 0; s < S; ++s)
+            nws[s] = queues_[s]->nextWhen();
         bool widened = false;
-        if (adaptiveActive_) {
-            // Per-shard window ends: shard s may not outrun the
-            // earliest event of any *other non-empty* shard — the
-            // only peers able to originate cross-shard traffic this
-            // window — nor the earliest deferred sync operation, by
-            // more than the lookahead. An empty peer is provably
-            // quiet: mailboxes drain only at barriers, so it cannot
-            // act before the next planning step sees whatever woke
-            // it, and the sender's own self-clamps (network send,
-            // sync post) keep this shard's clock below any reply such
-            // a wake could produce. A shard whose peers are all empty
-            // therefore saturates to the run limit and executes at
-            // full serial speed until traffic appears.
-            Tick sync_min = sync_->pendingMinWhen();
-            for (unsigned s = 0; s < S; ++s)
-                nws[s] = queues_[s]->nextWhen();
-            for (unsigned s = 0; s < S; ++s) {
-                Tick bound = sync_min;
-                for (unsigned o = 0; o < S; ++o) {
-                    if (o != s && nws[o] != maxTick)
-                        bound = std::min(bound, nws[o]);
-                }
-                // No clamp up to the lock-step end: a deferred
-                // sync operation older than t0 must keep every
-                // window at or below its grant tick.
-                Tick t1 = bound >= end || end - bound <= lookahead_
-                              ? end
-                              : bound + lookahead_;
-                if (t1 > step)
-                    widened = true;
-                ends[s] = t1;
+        for (unsigned s = 0; s < S; ++s) {
+            Tick bound = sync_min;
+            for (unsigned o = 0; o < S; ++o) {
+                if (o != s && nws[o] != maxTick)
+                    bound = std::min(bound, nws[o]);
             }
-        } else {
-            for (unsigned s = 0; s < S; ++s)
-                ends[s] = step;
+            // No clamp up to the lookahead floor: a deferred sync
+            // operation older than t0 must keep every window at or
+            // below its grant tick.
+            Tick t1 = bound >= end || end - bound <= lookahead_
+                          ? end
+                          : bound + lookahead_;
+            if (t1 > step)
+                widened = true;
+            ends[s] = t1;
         }
         if (widened)
             ++windowsWidened_;
-        else if (adaptiveActive_)
+        else
             ++windowFallbacks_;
         team_->run(
             [this, &ends](unsigned s) { queues_[s]->runWindow(ends[s]); });
-        windowBarrier(*std::max_element(ends.begin(), ends.end()));
-    }
-    return true;
-}
-
-void
-Machine::windowBarrier(Tick window_end)
-{
-    // All shard threads are quiescent here; injection order is
-    // irrelevant because arrivals and grants carry explicit keys.
-    net_->drainMailboxes();
-    // Adaptive windows ran different spans per shard, so only sync
-    // operations every shard has provably passed may be processed
-    // now; the rest stay deferred (they bound the next windows).
-    // Lock-step windows (watchdog armed) all ended together, so
-    // everything is processed.
-    Tick safe = maxTick;
-    if (adaptiveActive_) {
+        // Barrier: all shard threads are quiescent. Injection order
+        // is irrelevant because arrivals and grants carry explicit
+        // keys. The shards ran different spans, so only the sync
+        // operations every shard has provably passed are processed
+        // now; the rest stay deferred and bound the next windows.
+        net_->drainMailboxes();
+        Tick safe = maxTick;
         for (auto &q : queues_)
             safe = std::min(safe, q->nextWhen());
+        sync_->processPending(safe);
     }
-    sync_->processPending(safe);
-    if (!tracers_.empty()) {
-        for (unsigned s = 0; s < pendingNotes_.size(); ++s) {
-            for (const Msg &m : pendingNotes_[s]) {
-                for (unsigned t = 0; t < tracers_.size(); ++t) {
-                    if (t != s)
-                        tracers_[t]->noteDeliver(m);
-                }
-            }
-            pendingNotes_[s].clear();
-        }
-    }
-    if (watchdog_)
-        watchdog_->poll(window_end - 1);
+    return true;
 }
 
 void
@@ -491,12 +435,8 @@ Machine::start(Workload &w)
     }
     for (auto &q : queues_)
         q->setContext(shardMap_.externalCtx());
-    if (watchdog_) {
-        if (shardMap_.sharded())
-            watchdog_->armPolled(0);
-        else
-            watchdog_->arm();
-    }
+    if (watchdog_)
+        watchdog_->arm();
 }
 
 template <typename Done>
@@ -555,11 +495,8 @@ Machine::collect(const Workload &w, Tick exec, bool completed)
     r.windowFallbacks = windowFallbacks_;
     for (auto &q : queues_)
         r.syncWindowStops += q->windowClamps();
-    if (!tracers_.empty()) {
-        for (std::size_t s = 1; s < tracers_.size(); ++s)
-            tracers_[0]->absorb(*tracers_[s]);
-        tracers_[0]->exportAll(now());
-    }
+    if (tracer_)
+        tracer_->exportAll(now());
     return r;
 }
 
@@ -651,8 +588,8 @@ Machine::resetStats()
             nd->cacheUnit(i).statGroup().resetAll();
         }
     }
-    for (auto &t : tracers_)
-        t->reset(now());
+    if (tracer_)
+        tracer_->reset(now());
 }
 
 void
@@ -757,8 +694,8 @@ Machine::printStats(std::ostream &os)
         xport_->syncStats();
         xport_->statGroup().print(os);
     }
-    if (!tracers_.empty())
-        tracers_[0]->statGroup().print(os);
+    if (tracer_)
+        tracer_->statGroup().print(os);
     sync_->statGroup().print(os);
     for (auto &nd : nodes_) {
         nd->bus().statGroup().print(os);

@@ -106,11 +106,11 @@ struct RunResult
     // execution-strategy metadata excluded from resultsIdentical().
     // Counters are zero when shardsUsed == 1. ---
     std::uint64_t windowsRun = 0;     ///< windows executed
-    /** Windows where at least one shard ran past the lock-step
-     *  end (counted, never silent — same rule as shard fallbacks). */
+    /** Windows where at least one shard ran past the lookahead
+     *  floor (counted, never silent — same rule as shard fallbacks). */
     std::uint64_t windowsWidened = 0;
-    /** Adaptive windows held to the lock-step span by cross-shard
-     *  traffic or deferred sync operations. */
+    /** Windows held to the lookahead floor by cross-shard traffic
+     *  or deferred sync operations. */
     std::uint64_t windowFallbacks = 0;
     /** Windows cut short early by a sync post's self-grant clamp. */
     std::uint64_t syncWindowStops = 0;
@@ -153,7 +153,7 @@ class Machine : public MsgRouter
         return fallbackReason_;
     }
 
-    /** The lock-step lookahead window (ticks; 0 when serial). */
+    /** The lookahead window (ticks; 0 when serial). */
     Tick lookahead() const { return lookahead_; }
 
     unsigned numNodes() const
@@ -201,14 +201,10 @@ class Machine : public MsgRouter
     IntegrityManager *integrityManager() { return integrity_.get(); }
 
     /**
-     * The observability tracer (null unless tracing is enabled).
-     * Sharded runs keep one tracer per shard; this is shard 0's, the
-     * one the end-of-run merge folds the others into.
+     * The observability tracer (null unless tracing is enabled; a
+     * traced run is always serial).
      */
-    obs::Tracer *tracer()
-    {
-        return tracers_.empty() ? nullptr : tracers_[0].get();
-    }
+    obs::Tracer *tracer() { return tracer_.get(); }
 
     /** Write diagnostic state (controllers, queues, procs) to @p os. */
     void dumpDiagnostics(std::ostream &os);
@@ -268,14 +264,10 @@ class Machine : public MsgRouter
      * Adaptive windows: each shard's end is bounded by the other
      * shards' earliest events and any deferred sync operations,
      * widening up to the limit when peers are provably quiet (see
-     * DESIGN.md §19 for the proof sketch). Under the hang watchdog
-     * every shard runs the same [t0, t0 + lookahead) span instead.
+     * DESIGN.md §19 for the proof sketch).
      * @return true iff @p done became true.
      */
     bool runWindows(const std::function<bool()> &done, Tick limit);
-
-    /** Window-barrier bookkeeping (mailboxes, sync, tracing). */
-    void windowBarrier(Tick window_end);
 
     MachineConfig cfg_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
@@ -291,18 +283,12 @@ class Machine : public MsgRouter
     std::unique_ptr<RecoveryManager> recovery_;
     std::unique_ptr<IntegrityManager> integrity_;
     std::unique_ptr<HangWatchdog> watchdog_;
-    /** One per shard; merged into [0] at the end of a sharded run. */
-    std::vector<std::unique_ptr<obs::Tracer>> tracers_;
-    /** Per-shard logs of delivered msgs awaiting cross-shard note. */
-    std::vector<std::vector<Msg>> pendingNotes_;
+    std::unique_ptr<obs::Tracer> tracer_;
     std::atomic<std::uint64_t> versionCounter_{0};
     std::atomic<unsigned> finishedProcs_{0};
     Tick lookahead_ = 0;
     unsigned shardsRequested_ = 1;
     std::string fallbackReason_;
-    /** Adaptive windows in effect (sharded and no watchdog — the
-     *  watchdog polls only at lock-step barriers). */
-    bool adaptiveActive_ = false;
     std::uint64_t windowsRun_ = 0;
     std::uint64_t windowsWidened_ = 0;
     std::uint64_t windowFallbacks_ = 0;

@@ -6,10 +6,11 @@
  * FaultConfig. Randomness is partitioned into one deterministic
  * stream per source node (network faults) and per node (engine
  * stalls), each seeded from (config seed, node): a (config, seed)
- * pair replays exactly, and — because each stream is consumed only by
- * its own node's execution, whose operation order the event keys pin
- * down — the injected fault pattern is identical whether the machine
- * runs serial or sharded.
+ * pair replays exactly, and each stream is consumed only by its own
+ * node's execution, so the fault pattern one node sees does not
+ * depend on how the other nodes' events interleave. Armed faults run
+ * on the serial scheduler (a serial fallback,
+ * MachineConfig::lookahead).
  */
 
 #ifndef CCNUMA_VERIFY_FAULT_INJECTOR_HH
@@ -100,8 +101,7 @@ class FaultInjector : public NetworkTap
     /**
      * Per-source-node fault state: the RNG stream, the send counter
      * the drop-every-Nth rule counts, the per-destination FIFO
-     * clamps, and the injection counters. Touched only by the source
-     * node's shard.
+     * clamps, and the injection counters.
      */
     struct SrcState
     {

@@ -28,27 +28,6 @@ HangWatchdog::arm()
 }
 
 void
-HangWatchdog::armPolled(Tick now)
-{
-    ++epoch_;
-    armed_ = true;
-    last_ = progress_();
-    nextDeadline_ = now + budget_;
-}
-
-void
-HangWatchdog::poll(Tick now)
-{
-    if (!armed_ || now < nextDeadline_)
-        return;
-    std::uint64_t cur = progress_();
-    if (cur == last_)
-        fire(now);
-    last_ = cur;
-    nextDeadline_ = now + budget_;
-}
-
-void
 HangWatchdog::disarm()
 {
     armed_ = false;
@@ -62,13 +41,13 @@ HangWatchdog::check(std::uint64_t epoch)
         return;
     std::uint64_t now = progress_();
     if (now == last_)
-        fire(eq_.curTick());
+        fire();
     last_ = now;
     eq_.scheduleFunctionIn([this, epoch] { check(epoch); }, budget_);
 }
 
 void
-HangWatchdog::fire(Tick now)
+HangWatchdog::fire()
 {
     std::cerr << "hang watchdog: no instruction retired in "
               << budget_ << " ticks\n";
@@ -76,7 +55,8 @@ HangWatchdog::fire(Tick now)
     std::cerr.flush();
     fatal("hang watchdog: no instruction retired in %llu ticks "
           "(tick %llu); diagnostic state dumped to stderr",
-          (unsigned long long)budget_, (unsigned long long)now);
+          (unsigned long long)budget_,
+          (unsigned long long)eq_.curTick());
 }
 
 } // namespace ccnuma

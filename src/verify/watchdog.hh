@@ -33,25 +33,12 @@ class HangWatchdog
                  std::function<std::uint64_t()> progress,
                  std::function<void(std::ostream &)> dump);
 
-    /** Start (or restart) monitoring from the current tick. */
+    /**
+     * Start (or restart) monitoring from the current tick. An armed
+     * watchdog runs on the serial scheduler only (a serial fallback,
+     * MachineConfig::lookahead), so its check events share one queue.
+     */
     void arm();
-
-    /**
-     * Start monitoring in polled mode: no check events are
-     * scheduled; the caller invokes poll() periodically instead.
-     * The sharded scheduler uses this — its window barriers are a
-     * natural polling point, and keeping the watchdog out of the
-     * event queues keeps them bit-identical to a serial run.
-     */
-    void armPolled(Tick now);
-
-    /**
-     * Polled-mode check. Fires the hang diagnostic if a full budget
-     * has elapsed since the last observed progress. @p now may
-     * exceed the deadline by a window's length; that slack only
-     * delays detection, never misses a hang.
-     */
-    void poll(Tick now);
 
     /** Stop monitoring; pending check events become no-ops. */
     void disarm();
@@ -60,7 +47,7 @@ class HangWatchdog
 
   private:
     void check(std::uint64_t epoch);
-    [[noreturn]] void fire(Tick now);
+    [[noreturn]] void fire();
 
     EventQueue &eq_;
     Tick budget_;
@@ -70,8 +57,6 @@ class HangWatchdog
     std::uint64_t epoch_ = 0;
     std::uint64_t last_ = 0;
     bool armed_ = false;
-    /** Polled mode only: earliest tick the next poll() may fire at. */
-    Tick nextDeadline_ = 0;
 };
 
 } // namespace ccnuma

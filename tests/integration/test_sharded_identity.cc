@@ -1,25 +1,27 @@
 /**
  * @file
  * Sharded-scheduler identity pinning: running any workload with
- * CCNUMA_SHARDS > 1 must be *bit-identical* to the serial scheduler —
- * same retired instructions, same execution ticks, and the same full
- * statistics dump — because cross-shard work (network arrivals, sync
- * grants) carries explicit deterministic event keys and is injected
- * at window barriers in the exact order the serial scheduler would
- * have processed it.
+ * CCNUMA_SHARDS > 1 must be *bit-identical* to the serial scheduler
+ * with deferred sync grants (CCNUMA_SYNC_DEFER=1) — same retired
+ * instructions, same execution ticks, and the same full statistics
+ * dump — because cross-shard work (network arrivals, sync grants)
+ * carries explicit deterministic event keys and is injected at
+ * window barriers in the exact order the serial scheduler would have
+ * processed it.
  *
- * Also pinned here: the lock-step windows the hang watchdog pins,
- * the crash-recovery and integrity machinery with no crash or flip
- * scheduled, per-shard tracers, and the fault-injection campaign all
- * compose with sharding (per-node RNG streams make the injected
- * fault sequence layout-independent); a seeded sweep of synthetic
- * traffic mixes matches its serial oracle; and every serial-fallback
- * path is counted, never silent.
+ * Only the clean machine shards. Also pinned here: the hang
+ * watchdog, crash recovery and integrity with no crash or flip
+ * scheduled, the tracer, and a seeded fault campaign each take the
+ * counted serial fallback and reproduce their shards = 1 twin bit
+ * for bit; a seeded sweep of synthetic traffic mixes matches its
+ * serial oracle; and every serial-fallback path is counted, never
+ * silent.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -143,97 +145,100 @@ TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
 constexpr const char *kComposedKernels[] = {"FFT", "LU"};
 constexpr unsigned kComposedShards[] = {2, 4, 8};
 
-TEST(ShardedComposition, WatchdogRunsLockStepWindowsIdentically)
+/**
+ * Assert @p s requested @p shards, fell back to serial with a
+ * reason, and reproduces its shards = 1 twin @p serial bit for bit.
+ */
+void
+expectFallback(const Snapshot &s, const Snapshot &serial,
+               unsigned shards)
 {
-    // The hang watchdog polls at window barriers, so it pins every
-    // shard to the same lock-step span: no window may widen, and none
-    // counts as an adaptive fallback.
-    for (const char *app : kComposedKernels) {
-        MachineConfig cfg = shardableConfig(Arch::PPC, 1);
-        cfg.verify.watchdog = true;
-        Snapshot serial = runPoint(deferredSerial(cfg), app);
-        ASSERT_GT(serial.instructions, 0u);
-        for (unsigned shards : kComposedShards) {
-            SCOPED_TRACE(std::string(app) + " with " +
-                         std::to_string(shards) + " shards");
-            cfg.shards = shards;
-            Snapshot s = runPoint(cfg, app);
-            expectIdentical(s, serial, shards);
-            EXPECT_EQ(s.result.windowsWidened, 0u);
-            EXPECT_EQ(s.result.windowFallbacks, 0u);
-        }
-    }
+    EXPECT_EQ(s.shardsUsed, 1u);
+    EXPECT_FALSE(s.fallback.empty());
+    EXPECT_EQ(s.result.shardsRequested, shards);
+    EXPECT_EQ(s.result.shardsUsed, 1u);
+    EXPECT_EQ(s.result.shardFallback, s.fallback);
+    EXPECT_EQ(s.result.windowsRun, 0u);
+    EXPECT_EQ(s.instructions, serial.instructions);
+    EXPECT_EQ(s.execTicks, serial.execTicks);
+    EXPECT_EQ(s.stats, serial.stats);
 }
 
-TEST(ShardedComposition, CrashRecoveryWithoutCrashStaysSharded)
+/** Extra assertions on one (sharded request, shards = 1) pair. */
+using PairCheck =
+    std::function<void(const Snapshot &s, const Snapshot &serial)>;
+
+/**
+ * Run @p cfg on one shard and on every kComposedShards count, for
+ * FFT and LU: each sharded request must fall back and match the
+ * shards = 1 run, and pass @p check if given.
+ */
+void
+expectFallbackRuns(MachineConfig cfg, const PairCheck &check = nullptr)
 {
-    // Crash recovery armed with no crash scheduled keeps the sharded
-    // scheduler (only an actual crash fault forces serial) and must
-    // reproduce the deferred-serial run of the same configuration.
     for (const char *app : kComposedKernels) {
-        MachineConfig cfg =
-            shardableConfig(Arch::PPC, 1).withCrashRecovery();
-        Snapshot serial = runPoint(deferredSerial(cfg), app);
+        cfg.shards = 1;
+        Snapshot serial = runPoint(cfg, app);
+        ASSERT_GT(serial.instructions, 0u);
         ASSERT_TRUE(serial.result.completed);
         for (unsigned shards : kComposedShards) {
             SCOPED_TRACE(std::string(app) + " with " +
                          std::to_string(shards) + " shards");
             cfg.shards = shards;
             Snapshot s = runPoint(cfg, app);
-            EXPECT_TRUE(s.result.completed);
-            expectIdentical(s, serial, shards);
+            expectFallback(s, serial, shards);
+            if (check)
+                check(s, serial);
         }
     }
 }
 
-TEST(ShardedComposition, TracedRunsStayShardedAndIdentical)
+TEST(ShardedComposition, WatchdogFallsBackToSerial)
 {
-    // The tracer keeps one instance per shard and merges them at the
-    // end of the run, so tracing keeps the sharded scheduler and a
-    // traced sharded run must reproduce the traced deferred-serial
-    // run, stats dump included.
-    for (const char *app : kComposedKernels) {
-        MachineConfig cfg = shardableConfig(Arch::PPC, 1);
-        cfg.obs.enabled = true;
-        // Aggregates stay live; no trace or metrics files are written.
-        cfg.obs.chromeTraceFile = "";
-        cfg.obs.metricsFile = "";
-        Snapshot serial = runPoint(deferredSerial(cfg), app);
-        ASSERT_GT(serial.instructions, 0u);
-        for (unsigned shards : kComposedShards) {
-            SCOPED_TRACE(std::string(app) + " with " +
-                         std::to_string(shards) + " shards");
-            cfg.shards = shards;
-            Snapshot s = runPoint(cfg, app);
-            expectIdentical(s, serial, shards);
-            EXPECT_EQ(s.result.memRefs, serial.result.memRefs);
-            EXPECT_EQ(s.result.ccRequests, serial.result.ccRequests);
-        }
-    }
+    // The hang watchdog schedules its checks on one queue, so an
+    // armed watchdog takes the serial scheduler.
+    MachineConfig cfg = shardableConfig(Arch::PPC, 1);
+    cfg.verify.watchdog = true;
+    expectFallbackRuns(cfg);
 }
 
-TEST(ShardedComposition, IntegrityWithoutFlipsStaysSharded)
+TEST(ShardedComposition, CrashRecoveryWithoutCrashFallsBackToSerial)
 {
-    // CRC frames, ECC and the scrubber with no flip scheduled keep
-    // the sharded scheduler (only an actual flip forces serial) and
-    // must reproduce the deferred-serial run of the same config.
-    for (const char *app : kComposedKernels) {
-        MachineConfig cfg =
-            shardableConfig(Arch::PPC, 1).withIntegrity();
-        Snapshot serial = runPoint(deferredSerial(cfg), app);
-        ASSERT_TRUE(serial.result.completed);
-        ASSERT_GT(serial.result.crcChecked, 0u);
-        for (unsigned shards : kComposedShards) {
-            SCOPED_TRACE(std::string(app) + " with " +
-                         std::to_string(shards) + " shards");
-            cfg.shards = shards;
-            Snapshot s = runPoint(cfg, app);
-            EXPECT_TRUE(s.result.completed);
-            expectIdentical(s, serial, shards);
-            EXPECT_EQ(s.result.crcChecked, serial.result.crcChecked);
-            EXPECT_EQ(s.result.scrubCorrections, 0u);
-        }
-    }
+    // Crash recovery armed with no crash scheduled still takes the
+    // serial scheduler: recovery implies the reliable transport.
+    MachineConfig cfg =
+        shardableConfig(Arch::PPC, 1).withCrashRecovery();
+    expectFallbackRuns(cfg);
+}
+
+TEST(ShardedComposition, TracedRunsFallBackToSerial)
+{
+    // The tracer is one machine-wide recorder, so a traced run takes
+    // the serial scheduler and must reproduce the traced shards = 1
+    // run, stats dump (tracer group included) and all.
+    MachineConfig cfg = shardableConfig(Arch::PPC, 1);
+    cfg.obs.enabled = true;
+    // Aggregates stay live; no trace or metrics files are written.
+    cfg.obs.chromeTraceFile = "";
+    cfg.obs.metricsFile = "";
+    expectFallbackRuns(cfg, [](const Snapshot &s,
+                               const Snapshot &serial) {
+        EXPECT_EQ(s.result.memRefs, serial.result.memRefs);
+        EXPECT_EQ(s.result.ccRequests, serial.result.ccRequests);
+    });
+}
+
+TEST(ShardedComposition, IntegrityWithoutFlipsFallsBackToSerial)
+{
+    // CRC frames, ECC and the scrubber with no flip scheduled take
+    // the serial scheduler and must reproduce the shards = 1 run.
+    MachineConfig cfg = shardableConfig(Arch::PPC, 1).withIntegrity();
+    expectFallbackRuns(cfg, [](const Snapshot &s,
+                               const Snapshot &serial) {
+        EXPECT_GT(serial.result.crcChecked, 0u);
+        EXPECT_EQ(s.result.crcChecked, serial.result.crcChecked);
+        EXPECT_EQ(s.result.scrubCorrections, 0u);
+    });
 }
 
 TEST(ShardedFuzz, SeededUniformStormsStayIdentical)
@@ -319,11 +324,11 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
-TEST(ShardedFaults, SeededCampaignIsLayoutIndependent)
+TEST(ShardedFaults, SeededCampaignFallsBackToSerial)
 {
-    // Corrupting faults healed by the reliable transport, no checker
-    // (the checker forces serial): the injected fault sequence and
-    // the recovery accounting must not depend on the shard layout.
+    // Corrupting faults healed by the reliable transport, no checker:
+    // armed faults take the serial scheduler, so the injected fault
+    // sequence and the recovery accounting equal the shards = 1 run.
     auto cfg_for = [](unsigned shards) {
         MachineConfig cfg =
             shardableConfig(Arch::PPC, shards).withReliableTransport();
@@ -332,8 +337,6 @@ TEST(ShardedFaults, SeededCampaignIsLayoutIndependent)
         cfg.verify.faults.duplicateProb = 0.02;
         cfg.verify.faults.reorderProb = 0.02;
         cfg.verify.faults.reorderDelayMax = 300;
-        if (shards == 1)
-            cfg.forceSyncDefer = true; // sharded grant-timing oracle
         return cfg;
     };
     Snapshot serial = runPoint(cfg_for(1), "FFT", 0.05);
@@ -342,10 +345,7 @@ TEST(ShardedFaults, SeededCampaignIsLayoutIndependent)
     for (unsigned shards : {2u, 4u, 8u}) {
         SCOPED_TRACE(std::to_string(shards) + " shards");
         Snapshot s = runPoint(cfg_for(shards), "FFT", 0.05);
-        EXPECT_EQ(s.shardsUsed, shards);
-        EXPECT_EQ(s.instructions, serial.instructions);
-        EXPECT_EQ(s.execTicks, serial.execTicks);
-        EXPECT_EQ(s.stats, serial.stats);
+        expectFallback(s, serial, shards);
         EXPECT_EQ(s.result.faultsInjected,
                   serial.result.faultsInjected);
         EXPECT_EQ(s.result.xportRetransmits,

@@ -180,6 +180,27 @@ TEST(PointKey, SerialFallbackKeysAsSerial)
 }
 
 /**
+ * Trace replay changes what Cholesky simulates (CCNUMA_REPLAY=0 gives
+ * a different schedule), so a point run without replay keys apart
+ * from the replayed one. Replay on adds no row: keys persisted
+ * before the row existed still hit.
+ */
+TEST(PointKey, ReplayOffChangesTheKey)
+{
+    const SimPoint pt = makeSimPoint("Cholesky", Arch::PPC, 16, 0.05);
+    MachineConfig cfg = pt.cfg;
+    cfg.withEnvOverrides();
+    const PointKey on = makePointKey(cfg, pt.app, pt.wp, true);
+    const PointKey off = makePointKey(cfg, pt.app, pt.wp, false);
+    EXPECT_NE(on.hash, off.hash);
+    EXPECT_NE(on.canonical, off.canonical);
+    EXPECT_EQ(on.canonical, makePointKey(cfg, pt.app, pt.wp).canonical);
+    const PointKey &live = globalReplayCache() ? on : off;
+    EXPECT_EQ(pt.key().hash, live.hash);
+    EXPECT_EQ(pt.key().canonical, live.canonical);
+}
+
+/**
  * The one-execution-path guarantee, end to end: expanding a campaign
  * and running it through CampaignRunner + cache yields results
  * bit-identical to direct SimSession runs of the same points —

@@ -316,6 +316,12 @@ TEST(Canonical, ResultInvariantFieldsDoNotChangeTheHash)
     EXPECT_EQ(keyFor(deferred_serial).hash, keyFor(sharded4).hash);
     EXPECT_EQ(keyFor(deferred_serial).canonical,
               keyFor(sharded4).canonical);
+    // With shards > 1 a traced run falls back to the serial scheduler,
+    // like a checked run, so it keys as plain serial.
+    MachineConfig traced4 = sharded4;
+    traced4.obs.enabled = true;
+    EXPECT_EQ(keyFor(traced4).hash, keyFor(shardable).hash);
+    EXPECT_EQ(keyFor(traced4).canonical, keyFor(shardable).canonical);
 
     // Observability: traced runs are proven identical to untraced
     // runs by tests/obs/test_traced_kernels.cc.
