@@ -11,13 +11,13 @@ namespace ccnuma
 CoherenceController::CoherenceController(const std::string &name,
                                          EventQueue &eq, NodeId node,
                                          const CcParams &params,
-                                         const RecoveryConfig &recovery,
+                                         FaultTolerance level,
                                          Bus &bus, Network &net,
                                          AddressMap &map,
                                          DirectoryStore &dir)
     : name_(name), eq_(eq), node_(node), params_(params),
-      recovery_(recovery), bus_(bus),
-      net_(net), map_(map), dir_(dir), retries_(params.retry),
+      recovery_(level >= FaultTolerance::Recovery), bus_(bus),
+      net_(net), map_(map), dir_(dir), retries_(level),
       model_(params.engineType), statGroup_(name)
 {
     if (params.numEngines != 1 && params.numEngines != 2 &&
@@ -397,8 +397,8 @@ CoherenceController::retryDelay(Addr line, const char *what)
               "(policy: base %llu ticks, cap %llu ticks); the line "
               "never left its transient state", name_.c_str(), what,
               (unsigned long long)line, a.count - 1,
-              (unsigned long long)params_.retry.backoffBase,
-              (unsigned long long)params_.retry.backoffMax);
+              (unsigned long long)RetryTracker::backoffBase,
+              (unsigned long long)RetryTracker::backoffMax);
     }
     ++statNackRetries;
     statRetryBackoffTicks += static_cast<double>(a.delay);
@@ -609,12 +609,12 @@ CoherenceController::tryDispatch(unsigned engine_idx)
             // policy an endless stall streak escalates instead of
             // silently starving the queues.
             ++e.stallStreak;
-            if (params_.retry.bounded() &&
-                e.stallStreak > params_.retry.maxRetries) {
+            if (retries_.bounded() &&
+                e.stallStreak > RetryTracker::maxRetries) {
                 fatal("cc %s: engine %u starved by %u consecutive "
                       "injected stalls (retry budget %u); queues "
                       "%zu/%zu/%zu", name_.c_str(), engine_idx,
-                      e.stallStreak, params_.retry.maxRetries,
+                      e.stallStreak, RetryTracker::maxRetries,
                       e.queues[0].size(), e.queues[1].size(),
                       e.queues[2].size());
             }
@@ -1759,7 +1759,7 @@ CoherenceController::dirProbeResponse(unsigned engine_idx,
                      } else {
                          applyProbeDone(msg);
                      }
-                     maybeAdvanceRebuild(t);
+                     maybeFinishRebuild(t);
                  });
 }
 
@@ -1770,7 +1770,7 @@ CoherenceController::dirProbeResponse(unsigned engine_idx,
 void
 CoherenceController::crash(bool lose_directory)
 {
-    ccnuma_assert(recovery_.enabled);
+    ccnuma_assert(recovery_);
     ccnuma_assert(state_ == CcState::Normal && !deadForever_);
     ++statCrashes;
     if (tracer_) {
@@ -1896,40 +1896,23 @@ CoherenceController::restart()
     }
     dirLost_ = false;
     state_ = CcState::Recovering;
-    probePendingPeers_.clear();
-    probeDonesOutstanding_ = 0;
+    const Tick t = eq_.curTick();
+    probeDonesOutstanding_ = map_.numNodes() - 1;
     probeRespsExpected_ = 0;
     probeRespsApplied_ = 0;
-    for (NodeId n = 0; n < map_.numNodes(); ++n) {
-        if (n != node_)
-            probePendingPeers_.push_back(n);
+    ccnuma_trace(0, "%8llu %s RESTART: rebuilding directory from %u "
+                 "peers", (unsigned long long)t, name_.c_str(),
+                 probeDonesOutstanding_);
+    if (probeDonesOutstanding_ == 0) {
+        finishRebuild(t);
+        return;
     }
-    ccnuma_trace(0, "%8llu %s RESTART: rebuilding directory from %zu "
-                 "peers", (unsigned long long)eq_.curTick(),
-                 name_.c_str(), probePendingPeers_.size());
-    if (probePendingPeers_.empty())
-        finishRebuild(eq_.curTick());
-    else
-        sendNextProbeWave(eq_.curTick());
-}
-
-void
-CoherenceController::sendNextProbeWave(Tick t)
-{
-    ccnuma_assert(state_ == CcState::Recovering);
-    if (tracer_) {
-        tracer_->faultEvent(obs::FaultKind::RebuildWave, node_, 0,
-                            t);
-    }
-    unsigned wave =
-        recovery_.probeFanout == 0
-            ? static_cast<unsigned>(probePendingPeers_.size())
-            : recovery_.probeFanout;
-    while (wave-- > 0 && !probePendingPeers_.empty()) {
-        NodeId peer = probePendingPeers_.front();
-        probePendingPeers_.pop_front();
-        ++probeDonesOutstanding_;
-        sendMsg(MsgType::DirProbe, 0, peer, node_, 0, false, t);
+    // One wave: every peer is probed at once, in ascending order.
+    if (tracer_)
+        tracer_->faultEvent(obs::FaultKind::RebuildWave, node_, 0, t);
+    for (NodeId peer = 0; peer < map_.numNodes(); ++peer) {
+        if (peer != node_)
+            sendMsg(MsgType::DirProbe, 0, peer, node_, 0, false, t);
     }
 }
 
@@ -1989,17 +1972,14 @@ CoherenceController::applyProbeDone(const Msg &msg)
 }
 
 void
-CoherenceController::maybeAdvanceRebuild(Tick t)
+CoherenceController::maybeFinishRebuild(Tick t)
 {
     if (state_ != CcState::Recovering)
         return;
     if (probeDonesOutstanding_ > 0 ||
         probeRespsApplied_ < probeRespsExpected_)
         return;
-    if (!probePendingPeers_.empty())
-        sendNextProbeWave(t);
-    else
-        finishRebuild(t);
+    finishRebuild(t);
 }
 
 void
@@ -2075,8 +2055,7 @@ CoherenceController::replayAfterRestart(Tick t)
 void
 CoherenceController::missTimeout(Addr line_addr)
 {
-    if (!recovery_.enabled || state_ != CcState::Normal ||
-        deadForever_) {
+    if (!recovery_ || state_ != CcState::Normal || deadForever_) {
         return;
     }
     auto it = reqPending_.find(line_addr);
@@ -2086,7 +2065,7 @@ CoherenceController::missTimeout(Addr line_addr)
     MissLadder &lad = missLadders_[line_addr];
     const NodeId home = map_.homeOf(line_addr);
     const bool excl = it->second.excl;
-    if (lad.resends < recovery_.timeoutRetries) {
+    if (lad.resends < timeoutRetries) {
         ++lad.resends;
         ++statTimeoutResends;
         sendMsg(excl ? MsgType::ReadExclReq : MsgType::ReadReq,
@@ -2094,7 +2073,7 @@ CoherenceController::missTimeout(Addr line_addr)
                 /*recovery_resend=*/true);
         return;
     }
-    if (lad.probes < recovery_.probeRetries) {
+    if (lad.probes < probeRetries) {
         ++lad.probes;
         ++statRecoveryProbes;
         sendMsg(MsgType::RecoveryProbe, line_addr, home, node_, 0,
@@ -2116,7 +2095,7 @@ CoherenceController::missTimeout(Addr line_addr)
 bool
 CoherenceController::strayDrop(const char *what)
 {
-    if (!recovery_.enabled)
+    if (!recovery_)
         return false;
     ++statStrayDrops;
     ccnuma_trace(0, "%8llu %s stray %s dropped",
@@ -2182,7 +2161,6 @@ CoherenceController::shutdownPermanently()
     wbBuffer_.clear();
     crashReplay_.clear();
     rebuildParkedWb_.clear();
-    probePendingPeers_.clear();
     probeDonesOutstanding_ = 0;
     probeRespsExpected_ = 0;
     probeRespsApplied_ = 0;
@@ -2330,7 +2308,6 @@ CoherenceController::dumpState(std::ostream &os) const
         os << " CRASHED(parked=" << crashReplay_.size() << ")";
     } else if (state_ == CcState::Recovering) {
         os << " RECOVERING(donesPending=" << probeDonesOutstanding_
-           << ",peersLeft=" << probePendingPeers_.size()
            << ",resps=" << probeRespsApplied_ << "/"
            << probeRespsExpected_
            << ",parkedWb=" << rebuildParkedWb_.size() << ")";

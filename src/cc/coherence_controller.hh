@@ -57,8 +57,8 @@
 #include "protocol/messages.hh"
 #include "protocol/occupancy.hh"
 #include "protocol/retry.hh"
-#include "recovery/recovery_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_tolerance.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma
@@ -133,15 +133,6 @@ struct CcParams
      * access the directory.
      */
     bool dynamicSplit = false;
-    /**
-     * Retry policy for transient protocol conditions (owner nacks,
-     * home nacks, injected engine stalls). The default reproduces
-     * the paper's immediate, unbounded retry; a bounded policy adds
-     * capped exponential backoff and escalates with a clean
-     * FatalError diagnostic instead of livelocking (see
-     * MachineConfig::withReliableTransport()).
-     */
-    RetryPolicyParams retry;
 };
 
 /**
@@ -153,15 +144,17 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
 {
   public:
     /**
-     * @p recovery is the machine's crash-recovery configuration: the
-     * timeout ladder and rebuild knobs. When it is off, every
-     * recovery code path stays behind one branch.
+     * @p level is the machine's fault-tolerance level. From Transport
+     * up a nacked request retries under the bounded backoff policy
+     * (RetryTracker) instead of the paper's immediate, unbounded
+     * retry; from Recovery up the crash, timeout-ladder and rebuild
+     * paths are live. Below Recovery, every recovery code path stays
+     * behind one branch.
      */
     CoherenceController(const std::string &name, EventQueue &eq,
                         NodeId node, const CcParams &params,
-                        const RecoveryConfig &recovery,
-                        Bus &bus, Network &net, AddressMap &map,
-                        DirectoryStore &dir);
+                        FaultTolerance level, Bus &bus, Network &net,
+                        AddressMap &map, DirectoryStore &dir);
 
     /** Wire the functional cache probe (set by the node). */
     void setProbe(LocalCacheProbe *probe) { probe_ = probe; }
@@ -199,6 +192,21 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
 
     // --- fail-stop crash recovery (PR 6) ---
 
+    /** Ticks from a non-permanent crash to the controller restart. */
+    static constexpr Tick repairTicks = 25'000;
+    /** Period of the per-miss request timer at the cache units. */
+    static constexpr Tick missTimeoutTicks = 200'000;
+    /** Timeouts answered by re-sending the request (ladder rung 1). */
+    static constexpr unsigned timeoutRetries = 2;
+    /** Further timeouts answered by RecoveryProbe (ladder rung 2). */
+    static constexpr unsigned probeRetries = 2;
+    static_assert(missTimeoutTicks >
+                      ReliableTransport::retransmitTimeoutMax,
+                  "a miss timeout must imply protocol-level loss, not "
+                  "a late retransmission: a slow-but-healthy home "
+                  "would be escalated as dead while the transport "
+                  "still retries");
+
     /**
      * Controller lifecycle under fail-stop faults. The controller
      * card dies and restarts; the node's caches, bus, and memory
@@ -228,8 +236,9 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     /**
      * Restart the controller repairTicks after the crash. If the
      * directory survived, service resumes immediately; otherwise the
-     * home enters Recovering and broadcasts DirProbe to rebuild the
-     * full-map directory from its peers' cached copies.
+     * home enters Recovering and sends DirProbe to every peer at once,
+     * in ascending node order, to rebuild the full-map directory from
+     * their cached copies.
      */
     void restart();
 
@@ -716,8 +725,6 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     // crash-recovery helpers (PR 6)
     /** Forget every engine and all transient handler state. */
     void dropTransientState();
-    /** Issue the next DirProbe wave of the active rebuild. */
-    void sendNextProbeWave(Tick t);
     /** All probes answered: cross-check, go Normal, replay. */
     void finishRebuild(Tick t);
     /** Re-enqueue everything parked across the outage. */
@@ -729,16 +736,17 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     /** Count one peer's DirProbeDone (version = its responses). */
     void applyProbeDone(const Msg &msg);
     /**
-     * Advance the rebuild once the current wave is fully absorbed:
-     * every Done received AND every counted response applied.
+     * Finish the rebuild once every probe is fully absorbed: every
+     * Done received AND every counted response applied.
      */
-    void maybeAdvanceRebuild(Tick t);
+    void maybeFinishRebuild(Tick t);
 
     std::string name_;
     EventQueue &eq_;
     NodeId node_;
     CcParams params_;
-    RecoveryConfig recovery_;
+    /** Crash recovery armed (FaultTolerance::Recovery and up). */
+    bool recovery_;
     Bus &bus_;
     Network &net_;
     AddressMap &map_;
@@ -749,7 +757,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     ReliableTransport *xport_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
     std::function<Tick()> stallHook_;
-    /** Per-line nack retry bookkeeping (see CcParams::retry). */
+    /** Per-line nack retry bookkeeping (see RetryTracker). */
     RetryTracker retries_;
     OccupancyModel model_;
     int busAgentId_ = -1;
@@ -789,8 +797,6 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     bool dirLost_ = false;
     /** WriteBack/SharingWB messages parked during a rebuild. */
     std::deque<Msg> rebuildParkedWb_;
-    /** Peers not yet sent a DirProbe, during a rebuild. */
-    std::deque<NodeId> probePendingPeers_;
     /** DirProbeDone responses still outstanding. */
     unsigned probeDonesOutstanding_ = 0;
     /**

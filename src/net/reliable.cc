@@ -9,13 +9,10 @@ namespace ccnuma
 
 ReliableTransport::ReliableTransport(const std::string &name,
                                      EventQueue &eq, Network &net,
-                                     const ReliableParams &p,
-                                     DeliverFn deliver)
+                                     bool crc, DeliverFn deliver)
     : name_(name), eq_(eq), numNodes_(net.numNodes()), net_(net),
-      params_(p), deliver_(std::move(deliver)), statGroup_(name)
+      crc_(crc), deliver_(std::move(deliver)), statGroup_(name)
 {
-    if (params_.retransmitTimeout == 0)
-        fatal("%s: retransmitTimeout must be nonzero", name_.c_str());
     ccnuma_assert(deliver_ != nullptr);
 
     tx_.resize(static_cast<std::size_t>(numNodes_) * numNodes_);
@@ -37,8 +34,8 @@ ReliableTransport::ReliableTransport(const std::string &name,
 Tick
 ReliableTransport::rtoFor(unsigned backoff_level) const
 {
-    return backoffDelay(params_.retransmitTimeout,
-                        params_.retransmitTimeoutMax, backoff_level);
+    return backoffDelay(retransmitTimeout, retransmitTimeoutMax,
+                        backoff_level);
 }
 
 void
@@ -93,7 +90,7 @@ ReliableTransport::send(const Msg &msg, unsigned bytes)
     f.bytes = bytes;
     f.firstSend = eq_.curTick();
     p.unacked.emplace(seq, f);
-    ++p.dataFrames;
+    ++statDataFrames;
     transmit(msg.src, msg.dst, seq, f);
     if (!p.timerArmed)
         armTimer(msg.src, msg.dst);
@@ -105,7 +102,7 @@ ReliableTransport::transmit(NodeId src, NodeId dst,
 {
     // The network tap (fault injector) sits inside Network::send:
     // this frame may be dropped, duplicated, or held back there.
-    if (params_.crc) {
+    if (crc_) {
         // Carry the packed wire image. A retransmission packs the
         // pristine TxFrame afresh, so a corrupted original is healed
         // by the normal go-back-N path once the receiver refuses it.
@@ -131,10 +128,9 @@ ReliableTransport::onFrameArrive(NodeId src, NodeId dst,
     // the crash-fence check in onDataArrive — so a corrupted frame
     // aimed at a fenced node is still counted as detected, not
     // silently folded into the fence drops.
-    PairRx &r = rx_[pairIdx(src, dst)];
-    ++r.crcChecked;
+    ++statCrcChecked;
     if (!wire::frameCrcOk(frame)) {
-        ++r.crcDetected;
+        ++statCrcDetected;
         ccnuma_trace(0, "%8llu xport crc-drop n%u->n%u",
                      (unsigned long long)eq_.curTick(),
                      src, dst);
@@ -178,7 +174,7 @@ ReliableTransport::onDataArrive(NodeId src, NodeId dst,
                      msgTypeName(msg.type), src, dst,
                      (unsigned long long)seq,
                      (unsigned long long)r.nextExpected);
-        ++r.dupsDropped;
+        ++statDupsDropped;
         scheduleAck(src, dst);
         return;
     }
@@ -200,15 +196,15 @@ ReliableTransport::onDataArrive(NodeId src, NodeId dst,
         }
     } else {
         // Early arrival: a predecessor was dropped or overtaken.
-        if (r.held.size() >= params_.reorderBufCap) {
+        if (r.held.size() >= reorderBufCap) {
             panic("%s: pair node%u->node%u reorder buffer exceeded "
                   "%u frames (expecting seq %llu, got %llu)",
-                  name_.c_str(), src, dst, params_.reorderBufCap,
+                  name_.c_str(), src, dst, reorderBufCap,
                   (unsigned long long)r.nextExpected,
                   (unsigned long long)seq);
         }
         r.held.emplace(seq, msg);
-        ++r.reordersHealed;
+        ++statReordersHealed;
     }
     scheduleAck(src, dst);
 }
@@ -229,13 +225,13 @@ ReliableTransport::scheduleAck(NodeId src, NodeId dst)
             PairRx &rr = rx_[pairIdx(src, dst)];
             rr.ackPending = false;
             std::uint64_t cum = rr.nextExpected - 1;
-            ++rr.acks;
+            ++statAcks;
             net_.send(dst, src, msgHeaderBytes,
                       [this, src, dst, cum] {
                           onAckArrive(src, dst, cum);
                       });
         },
-        params_.ackDelay);
+        ackDelay);
 }
 
 void
@@ -283,8 +279,8 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
         return;
     }
     Tick now = eq_.curTick();
-    ++p.timeouts;
-    p.backoffTicks += rtoFor(p.backoffLevel);
+    ++statTimeouts;
+    statBackoffTicks += static_cast<double>(rtoFor(p.backoffLevel));
     if (tracer_)
         tracer_->xportEvent(obs::SpanKind::XportTimeout, src, dst, now);
     // Go-back-N: retransmit every unacknowledged frame in sequence
@@ -292,17 +288,15 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
     // timeout heals any number of losses in the window.
     for (auto &[seq, f] : p.unacked) {
         ++f.attempts;
-        if (params_.maxRetransmits != 0 &&
-            f.attempts > params_.maxRetransmits &&
-            pairDeadHook_ && pairDeadHook_(src, dst)) {
+        if (f.attempts > maxRetransmits && pairDeadHook_ &&
+            pairDeadHook_(src, dst)) {
             // The destination is crash-fenced and a restart or
             // migration is coming: keep retransmitting instead of
             // declaring the pair dead.
             f.attempts = 0;
             ++pairDeadDeferrals_;
         }
-        if (params_.maxRetransmits != 0 &&
-            f.attempts > params_.maxRetransmits) {
+        if (f.attempts > maxRetransmits) {
             // Graceful degradation: the pair is unrecoverable (every
             // retransmission or its ack was lost). End the run with
             // a clean diagnostic instead of backing off forever.
@@ -316,7 +310,7 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
                   (unsigned long long)f.firstSend,
                   (unsigned long long)now, p.unacked.size());
         }
-        ++p.retransmits;
+        ++statRetransmits;
         if (tracer_) {
             tracer_->xportEvent(obs::SpanKind::XportRetransmit, src,
                                 dst, now);
@@ -366,120 +360,6 @@ ReliableTransport::dumpState(std::ostream &os) const
     if (!any)
         os << " (all pairs drained)";
     os << "\n";
-}
-
-void
-ReliableTransport::syncStats()
-{
-    statDataFrames.set(static_cast<double>(dataFrames()));
-    statAcks.set(static_cast<double>(acksSent()));
-    statRetransmits.set(static_cast<double>(retransmits()));
-    statTimeouts.set(static_cast<double>(timeouts()));
-    statDupsDropped.set(static_cast<double>(dupsDropped()));
-    statReordersHealed.set(static_cast<double>(reordersHealed()));
-    statBackoffTicks.set(static_cast<double>(backoffTicks()));
-    statCrcChecked.set(static_cast<double>(crcChecked()));
-    statCrcDetected.set(static_cast<double>(crcDetected()));
-}
-
-void
-ReliableTransport::resetStats()
-{
-    statGroup_.resetAll();
-    for (PairTx &p : tx_) {
-        p.dataFrames = 0;
-        p.retransmits = 0;
-        p.timeouts = 0;
-        p.backoffTicks = 0;
-    }
-    for (PairRx &r : rx_) {
-        r.acks = 0;
-        r.dupsDropped = 0;
-        r.reordersHealed = 0;
-        r.crcChecked = 0;
-        r.crcDetected = 0;
-    }
-}
-
-std::uint64_t
-ReliableTransport::dataFrames() const
-{
-    std::uint64_t total = 0;
-    for (const PairTx &p : tx_)
-        total += p.dataFrames;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::acksSent() const
-{
-    std::uint64_t total = 0;
-    for (const PairRx &r : rx_)
-        total += r.acks;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::retransmits() const
-{
-    std::uint64_t total = 0;
-    for (const PairTx &p : tx_)
-        total += p.retransmits;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::timeouts() const
-{
-    std::uint64_t total = 0;
-    for (const PairTx &p : tx_)
-        total += p.timeouts;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::dupsDropped() const
-{
-    std::uint64_t total = 0;
-    for (const PairRx &r : rx_)
-        total += r.dupsDropped;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::reordersHealed() const
-{
-    std::uint64_t total = 0;
-    for (const PairRx &r : rx_)
-        total += r.reordersHealed;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::crcChecked() const
-{
-    std::uint64_t total = 0;
-    for (const PairRx &r : rx_)
-        total += r.crcChecked;
-    return total;
-}
-
-std::uint64_t
-ReliableTransport::crcDetected() const
-{
-    std::uint64_t total = 0;
-    for (const PairRx &r : rx_)
-        total += r.crcDetected;
-    return total;
-}
-
-Tick
-ReliableTransport::backoffTicks() const
-{
-    std::uint64_t total = 0;
-    for (const PairTx &p : tx_)
-        total += p.backoffTicks;
-    return static_cast<Tick>(total);
 }
 
 } // namespace ccnuma

@@ -19,6 +19,10 @@
  *    the pair is declared dead and the run ends with a clean
  *    FatalError diagnostic instead of livelocking.
  *
+ * The machine builds the transport from FaultTolerance::Transport
+ * up, with CRC-32 frames at Integrity; its timing is fixed by the
+ * constants below.
+ *
  * Ack frames themselves ride the same lossy network; because acks
  * are cumulative, a lost or duplicated ack is harmless (the data
  * retransmission path covers it). The sublayer is off by default
@@ -28,10 +32,10 @@
  *
  * The transport runs on the serial scheduler only (an armed
  * transport is a serial fallback, MachineConfig::lookahead), so all
- * of its events go on one queue. Per-pair state lives in flat arrays
- * split by side (sender: send, ack arrival, retransmission timer;
- * receiver: data arrival, delayed ack), and counters live in the
- * per-pair pods, folded into the published stats on demand.
+ * of its events go on one queue and it counts straight into its
+ * stats. Per-pair state lives in flat arrays split by side (sender:
+ * send, ack arrival, retransmission timer; receiver: data arrival,
+ * delayed ack).
  */
 
 #ifndef CCNUMA_NET_RELIABLE_HH
@@ -54,38 +58,6 @@
 namespace ccnuma
 {
 
-/** Reliable-transport knobs (CCNUMA_RELIABLE force-enables). */
-struct ReliableParams
-{
-    /** Master switch; everything below is inert when false. */
-    bool enabled = false;
-    /**
-     * Base retransmission timeout (ticks). Must comfortably exceed
-     * one data+ack round trip (~80 ticks on the base network) so a
-     * healthy pair never retransmits.
-     */
-    Tick retransmitTimeout = 400;
-    /** Ceiling of the exponential timeout backoff (ticks). */
-    Tick retransmitTimeoutMax = 12'800;
-    /**
-     * Retransmissions of one frame before the pair is declared dead
-     * and the run ends with a FatalError diagnostic.
-     */
-    unsigned maxRetransmits = 16;
-    /** Cumulative-ack coalescing window (ticks). */
-    Tick ackDelay = 8;
-    /** Receive reorder-buffer cap per pair (sanity backstop). */
-    unsigned reorderBufCap = 4096;
-    /**
-     * Carry each data frame as a packed wire image with a CRC-32
-     * (PR 7 integrity). A receiver that sees a CRC mismatch treats
-     * the frame as lost — no processing, no ack — and go-back-N
-     * re-delivers a pristine copy from the sender's unacked buffer.
-     * The modeled wire size is unchanged, so timing is identical.
-     */
-    bool crc = false;
-};
-
 /**
  * The reliable transport. One instance serves the whole machine: it
  * owns per-(src,dst) sender and receiver state for every pair and
@@ -98,11 +70,33 @@ class ReliableTransport
   public:
     using DeliverFn = std::function<void(const Msg &)>;
 
-    ReliableTransport(const std::string &name, EventQueue &eq,
-                      Network &net, const ReliableParams &p,
-                      DeliverFn deliver);
+    /**
+     * Base retransmission timeout (ticks). Comfortably exceeds one
+     * data+ack round trip (~80 ticks on the base network) so a
+     * healthy pair never retransmits.
+     */
+    static constexpr Tick retransmitTimeout = 400;
+    /** Ceiling of the exponential timeout backoff (ticks). */
+    static constexpr Tick retransmitTimeoutMax = 12'800;
+    /**
+     * Retransmissions of one frame before the pair is declared dead
+     * and the run ends with a FatalError diagnostic.
+     */
+    static constexpr unsigned maxRetransmits = 16;
+    /** Cumulative-ack coalescing window (ticks). */
+    static constexpr Tick ackDelay = 8;
+    /** Receive reorder-buffer cap per pair (sanity backstop). */
+    static constexpr unsigned reorderBufCap = 4096;
 
-    const ReliableParams &params() const { return params_; }
+    /**
+     * With @p crc every data frame travels as a packed wire image
+     * with a CRC-32 (integrity). A receiver that sees a CRC mismatch
+     * treats the frame as lost (no processing, no ack) and go-back-N
+     * re-delivers a pristine copy from the sender's unacked buffer.
+     * The modeled wire size is unchanged, so timing is identical.
+     */
+    ReliableTransport(const std::string &name, EventQueue &eq,
+                      Network &net, bool crc, DeliverFn deliver);
 
     /**
      * Send @p msg (wire size @p bytes) reliably from msg.src to
@@ -162,9 +156,9 @@ class ReliableTransport
     void setCorruptHook(CorruptFn fn) { corruptHook_ = std::move(fn); }
 
     /** Frames whose CRC was verified at the receiver. */
-    std::uint64_t crcChecked() const;
+    std::uint64_t crcChecked() const { return count(statCrcChecked); }
     /** Frames discarded for a CRC mismatch (treated as losses). */
-    std::uint64_t crcDetected() const;
+    std::uint64_t crcDetected() const { return count(statCrcDetected); }
 
     /** Pair-dead escalations deferred by the hook (tests). */
     std::uint64_t pairDeadDeferrals() const
@@ -178,29 +172,25 @@ class ReliableTransport
     /** Dump per-pair transport state for deadlock diagnosis. */
     void dumpState(std::ostream &os) const;
 
+    /**
+     * The transport's stats. Resetting them (warm-up exclusion)
+     * leaves sequence numbers, unacked buffers and timers alone: they
+     * are live protocol state.
+     */
     stats::Group &statGroup() { return statGroup_; }
 
-    /**
-     * Fold the per-pair counters into the published stats below.
-     * Idempotent.
-     */
-    void syncStats();
-
-    /**
-     * Zero the published stats and the per-pair counters (warm-up
-     * exclusion). Sequence numbers, unacked buffers, and timers are
-     * live protocol state and are left untouched.
-     */
-    void resetStats();
-
     // --- counters (tests and the recovery scorecard) ---
-    std::uint64_t dataFrames() const;
-    std::uint64_t acksSent() const;
-    std::uint64_t retransmits() const;
-    std::uint64_t timeouts() const;
-    std::uint64_t dupsDropped() const;
-    std::uint64_t reordersHealed() const;
-    Tick backoffTicks() const;
+    std::uint64_t dataFrames() const { return count(statDataFrames); }
+    std::uint64_t acksSent() const { return count(statAcks); }
+    std::uint64_t retransmits() const { return count(statRetransmits); }
+    std::uint64_t timeouts() const { return count(statTimeouts); }
+    std::uint64_t dupsDropped() const { return count(statDupsDropped); }
+    std::uint64_t
+    reordersHealed() const
+    {
+        return count(statReordersHealed);
+    }
+    Tick backoffTicks() const { return count(statBackoffTicks); }
 
     stats::Scalar statDataFrames{"data_frames",
         "protocol messages sent through the transport"};
@@ -238,10 +228,6 @@ class ReliableTransport
         bool timerArmed = false;
         std::uint64_t timerGen = 0; ///< invalidates stale timers
         unsigned backoffLevel = 0;
-        std::uint64_t dataFrames = 0;
-        std::uint64_t retransmits = 0;
-        std::uint64_t timeouts = 0;
-        Tick backoffTicks = 0;
     };
 
     /** Receiver-side state of one (src,dst) pair. */
@@ -250,12 +236,13 @@ class ReliableTransport
         std::uint64_t nextExpected = 1;
         std::map<std::uint64_t, Msg> held; ///< early arrivals
         bool ackPending = false;
-        std::uint64_t acks = 0;
-        std::uint64_t dupsDropped = 0;
-        std::uint64_t reordersHealed = 0;
-        std::uint64_t crcChecked = 0;
-        std::uint64_t crcDetected = 0;
     };
+
+    static std::uint64_t
+    count(const stats::Scalar &s)
+    {
+        return static_cast<std::uint64_t>(s.value());
+    }
 
     std::size_t
     pairIdx(NodeId src, NodeId dst) const
@@ -279,7 +266,7 @@ class ReliableTransport
     EventQueue &eq_;
     unsigned numNodes_;
     Network &net_;
-    ReliableParams params_;
+    bool crc_;
     DeliverFn deliver_;
     std::vector<PairTx> tx_;
     std::vector<PairRx> rx_;

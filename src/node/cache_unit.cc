@@ -97,7 +97,7 @@ CacheUnit::startMiss(Addr addr, bool write,
 void
 CacheUnit::armMissTimer()
 {
-    if (missTimeoutTicks_ == 0 || !missTimeoutHook_)
+    if (!missTimeoutHook_)
         return;
     const std::uint64_t gen = ++missGen_;
     const Addr line = mshr_.lineAddr;

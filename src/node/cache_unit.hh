@@ -94,7 +94,7 @@ class CacheUnit : public BusAgent
      * @p hook is called with its line address every @p ticks ticks
      * so the coherence controller can escalate a stuck miss through
      * its recovery ladder. The node wires it when crash recovery is
-     * on; 0 ticks or no hook leaves the timer off.
+     * on; without a hook the timer stays off.
      */
     void
     setMissTimeoutHook(Tick ticks, std::function<void(Addr)> hook)

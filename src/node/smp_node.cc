@@ -7,7 +7,7 @@ namespace ccnuma
 {
 
 SmpNode::SmpNode(const std::string &name, EventQueue &eq, NodeId id,
-                 const NodeParams &p, const RecoveryConfig &recovery,
+                 const NodeParams &p, FaultTolerance level,
                  Network &net, AddressMap &map, SyncManager &sync,
                  std::function<std::uint64_t()> next_version)
     : id_(id)
@@ -20,7 +20,7 @@ SmpNode::SmpNode(const std::string &name, EventQueue &eq, NodeId id,
     bus_->setMemory(mem_.get());
 
     cc_ = std::make_unique<CoherenceController>(
-        name + ".cc", eq, id, p.cc, recovery, *bus_, net, map, *dir_);
+        name + ".cc", eq, id, p.cc, level, *bus_, net, map, *dir_);
     cc_->setProbe(this);
     cc_->setMemory(mem_.get());
 
@@ -36,12 +36,12 @@ SmpNode::SmpNode(const std::string &name, EventQueue &eq, NodeId id,
             cname, eq, pid, id, *caches_.back(), sync, p.proc));
     }
 
-    if (recovery.enabled) {
+    if (level >= FaultTolerance::Recovery) {
         // Stuck-miss escalation: each cache unit's per-miss timer
         // drives the controller's retry/probe/degraded ladder.
         for (auto &c : caches_) {
             c->setMissTimeoutHook(
-                recovery.missTimeoutTicks,
+                CoherenceController::missTimeoutTicks,
                 [this](Addr line) { cc_->missTimeout(line); });
         }
         // Directory reconstruction: a recovering peer probes us for

@@ -23,8 +23,8 @@
 #include "node/cache_unit.hh"
 #include "node/processor.hh"
 #include "node/sync.hh"
-#include "recovery/recovery_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_tolerance.hh"
 
 namespace ccnuma
 {
@@ -52,7 +52,7 @@ class SmpNode : public LocalCacheProbe
 {
   public:
     SmpNode(const std::string &name, EventQueue &eq, NodeId id,
-            const NodeParams &p, const RecoveryConfig &recovery,
+            const NodeParams &p, FaultTolerance level,
             Network &net, AddressMap &map, SyncManager &sync,
             std::function<std::uint64_t()> next_version);
 

@@ -1,13 +1,13 @@
 #include "protocol/retry.hh"
 
+#include <algorithm>
+
 namespace ccnuma
 {
 
 Tick
 backoffDelay(Tick base, Tick max, unsigned level)
 {
-    if (base == 0)
-        return 0;
     // 2^63 ticks is far past any simulation horizon; saturate the
     // shift so a long retry streak cannot wrap around to a small
     // delay.
@@ -16,9 +16,7 @@ backoffDelay(Tick base, Tick max, unsigned level)
     Tick d = base << level;
     if (d < base)
         d = maxTick; // overflowed
-    if (max != 0 && d > max)
-        d = max;
-    return d;
+    return std::min(d, max);
 }
 
 RetryTracker::Attempt
@@ -28,11 +26,13 @@ RetryTracker::next(std::uint64_t key)
     ++c;
     Attempt a;
     a.count = c;
-    if (p_.maxRetries != 0 && c > p_.maxRetries) {
+    if (!bounded_)
+        return a; // the paper's immediate, unbounded retry
+    if (c > maxRetries) {
         a.exhausted = true;
         return a;
     }
-    a.delay = backoffDelay(p_.backoffBase, p_.backoffMax, c - 1);
+    a.delay = backoffDelay(backoffBase, backoffMax, c - 1);
     return a;
 }
 

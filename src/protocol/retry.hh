@@ -11,9 +11,9 @@
  * (capped), and after maxRetries the caller escalates with a clean
  * diagnostic instead of spinning forever.
  *
- * The default-constructed policy (base 0, unbounded) reproduces the
- * paper's immediate-retry behavior exactly, so timing results are
- * unchanged unless a policy is explicitly configured.
+ * The machine arms the bounded policy from FaultTolerance::Transport
+ * up; below it the tracker reproduces the paper's immediate,
+ * unbounded retry exactly, so timing results are unchanged.
  */
 
 #ifndef CCNUMA_PROTOCOL_RETRY_HH
@@ -22,24 +22,11 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "sim/fault_tolerance.hh"
 #include "sim/types.hh"
 
 namespace ccnuma
 {
-
-/** Retry/backoff policy knobs (defaults = the paper's behavior). */
-struct RetryPolicyParams
-{
-    /** First-retry backoff (ticks); 0 retries immediately. */
-    Tick backoffBase = 0;
-    /** Ceiling on the exponential backoff (ticks); 0 = no cap. */
-    Tick backoffMax = 0;
-    /** Retries of one key before escalation; 0 = unbounded. */
-    unsigned maxRetries = 0;
-
-    /** True when the policy escalates instead of retrying forever. */
-    bool bounded() const { return maxRetries != 0; }
-};
 
 /**
  * Per-key retry bookkeeping for one component. Keys are whatever
@@ -51,7 +38,21 @@ struct RetryPolicyParams
 class RetryTracker
 {
   public:
-    explicit RetryTracker(const RetryPolicyParams &p) : p_(p) {}
+    /**
+     * The bounded policy: the first re-attempt waits 32 ticks,
+     * doubling up to 8192, and the 65th retry escalates. 64 doublings
+     * capped at 8K ticks is far beyond any transient condition the
+     * protocol can produce, so escalation only fires on genuine
+     * livelock.
+     */
+    static constexpr Tick backoffBase = 32;
+    static constexpr Tick backoffMax = 8192;
+    static constexpr unsigned maxRetries = 64;
+
+    /** Bounded from FaultTolerance::Transport up, else the paper's. */
+    explicit RetryTracker(FaultTolerance level)
+        : bounded_(level >= FaultTolerance::Transport)
+    {}
 
     struct Attempt
     {
@@ -72,16 +73,17 @@ class RetryTracker
     /** Fail-stop crash: all in-flight operations died with it. */
     void clearAll() { counts_.clear(); }
 
-    const RetryPolicyParams &params() const { return p_; }
+    /** True when the policy escalates instead of retrying forever. */
+    bool bounded() const { return bounded_; }
 
   private:
-    RetryPolicyParams p_;
+    bool bounded_;
     std::unordered_map<std::uint64_t, unsigned> counts_;
 };
 
 /**
  * Capped exponential backoff: base * 2^level, saturated at @p max
- * (when nonzero) and guarded against shift overflow.
+ * and guarded against shift overflow.
  */
 Tick backoffDelay(Tick base, Tick max, unsigned level);
 

@@ -14,10 +14,9 @@ RecoveryManager::RecoveryManager(EventQueue &eq, AddressMap &map,
                                  std::vector<SmpNode *> nodes,
                                  ReliableTransport *xport,
                                  FaultInjector *injector,
-                                 CoherenceChecker *checker,
-                                 const RecoveryConfig &cfg)
+                                 CoherenceChecker *checker)
     : eq_(eq), map_(map), nodes_(std::move(nodes)), xport_(xport),
-      injector_(injector), checker_(checker), cfg_(cfg),
+      injector_(injector), checker_(checker),
       dead_(nodes_.size(), 0), migrationPending_(nodes_.size(), 0)
 {
     ccnuma_assert(!nodes_.empty());
@@ -53,7 +52,8 @@ RecoveryManager::arm()
         if (!f.permanent) {
             eq_.scheduleFunction(
                 [this, node = f.node] { fireRestart(node); },
-                f.atTick + cfg_.repairTicks, Event::defaultPriority,
+                f.atTick + CoherenceController::repairTicks,
+                Event::defaultPriority,
                 "controller restart");
         }
     }

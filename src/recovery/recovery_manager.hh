@@ -8,10 +8,11 @@
  *  - at each fault's tick it fail-stops the named coherence
  *    controller (CoherenceController::crash), dropping all in-flight
  *    handler state and optionally the directory SRAM;
- *  - repairTicks later it restarts a non-permanent crash
- *    (CoherenceController::restart), which replays parked work or —
- *    when the directory was lost — enters the RECOVERING epoch and
- *    rebuilds the full map from DirProbe responses;
+ *  - CoherenceController::repairTicks later it restarts a
+ *    non-permanent crash (CoherenceController::restart), which
+ *    replays parked work or — when the directory was lost — enters
+ *    the RECOVERING epoch and rebuilds the full map from DirProbe
+ *    responses;
  *  - when a *permanent* crash makes requesters exhaust their
  *    miss-timeout escalation ladder, the controllers' degraded hook
  *    lands here and the manager migrates the dead home: dirty data is
@@ -36,8 +37,8 @@
 
 #include "mem/address_map.hh"
 #include "node/smp_node.hh"
-#include "recovery/recovery_config.hh"
 #include "sim/event_queue.hh"
+#include "verify/fault_config.hh"
 
 namespace ccnuma
 {
@@ -59,8 +60,7 @@ class RecoveryManager
     RecoveryManager(EventQueue &eq, AddressMap &map,
                     std::vector<SmpNode *> nodes,
                     ReliableTransport *xport, FaultInjector *injector,
-                    CoherenceChecker *checker,
-                    const RecoveryConfig &cfg);
+                    CoherenceChecker *checker);
 
     /** Install the hooks and schedule every configured crash. */
     void arm();
@@ -89,7 +89,6 @@ class RecoveryManager
     ReliableTransport *xport_;
     FaultInjector *injector_;
     CoherenceChecker *checker_;
-    RecoveryConfig cfg_;
     std::vector<char> dead_;
     std::vector<char> migrationPending_;
     std::uint64_t crashesFired_ = 0;

@@ -16,9 +16,9 @@ namespace serve
 // correct behavior, just not the tripwire.
 // ---------------------------------------------------------------------
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(MachineConfig) == 664,
+static_assert(sizeof(MachineConfig) == 544,
               "MachineConfig changed: update canonicalMachineConfig");
-static_assert(sizeof(NodeParams) == 248,
+static_assert(sizeof(NodeParams) == 224,
               "NodeParams changed: update canonicalMachineConfig");
 static_assert(sizeof(NetworkParams) == 24,
               "NetworkParams changed: update canonicalMachineConfig");
@@ -28,20 +28,12 @@ static_assert(sizeof(MemoryParams) == 24,
               "MemoryParams changed: update canonicalMachineConfig");
 static_assert(sizeof(DirectoryParams) == 32,
               "DirectoryParams changed: update canonicalMachineConfig");
-static_assert(sizeof(CcParams) == 64,
+static_assert(sizeof(CcParams) == 40,
               "CcParams changed: update canonicalMachineConfig");
-static_assert(sizeof(RetryPolicyParams) == 24,
-              "RetryPolicyParams changed: update canonical form");
 static_assert(sizeof(CacheUnitParams) == 56,
               "CacheUnitParams changed: update canonicalMachineConfig");
 static_assert(sizeof(ProcessorParams) == 16,
               "ProcessorParams changed: update canonicalMachineConfig");
-static_assert(sizeof(ReliableParams) == 48,
-              "ReliableParams changed: update canonicalMachineConfig");
-static_assert(sizeof(RecoveryConfig) == 40,
-              "RecoveryConfig changed: update canonicalMachineConfig");
-static_assert(sizeof(IntegrityConfig) == 16,
-              "IntegrityConfig changed: update canonicalMachineConfig");
 static_assert(sizeof(VerifyConfig) == 144,
               "VerifyConfig changed: update canonicalMachineConfig");
 static_assert(sizeof(FaultConfig) == 128,
@@ -129,6 +121,8 @@ canonicalMachineConfig(const MachineConfig &cfg)
     c.field("machine.syncHandoffTicks",
             std::uint64_t(cfg.syncHandoffTicks));
     c.field("machine.maxTicks", std::uint64_t(cfg.maxTicks));
+    c.field("machine.faultTolerance",
+            faultToleranceName(cfg.faultTolerance));
     // cfg.shards and cfg.obs are deliberately omitted: both are
     // proven result-invariant by the identity test suites (see the
     // header comment), so points may share cache entries across
@@ -181,10 +175,6 @@ canonicalMachineConfig(const MachineConfig &cfg)
     c.field("cc.directDataPath", cc.directDataPath);
     c.field("cc.priorityArbitration", cc.priorityArbitration);
     c.field("cc.dynamicSplit", cc.dynamicSplit);
-    c.field("cc.retry.backoffBase",
-            std::uint64_t(cc.retry.backoffBase));
-    c.field("cc.retry.backoffMax", std::uint64_t(cc.retry.backoffMax));
-    c.field("cc.retry.maxRetries", std::uint64_t(cc.retry.maxRetries));
 
     const CacheUnitParams &cu = n.cache;
     c.field("cache.l1Bytes", std::uint64_t(cu.l1Bytes));
@@ -203,35 +193,6 @@ canonicalMachineConfig(const MachineConfig &cfg)
     c.field("net.flightLatency", std::uint64_t(net.flightLatency));
     c.field("net.portWidthBytes", std::uint64_t(net.portWidthBytes));
     c.field("net.portCycle", std::uint64_t(net.portCycle));
-
-    const ReliableParams &r = cfg.reliable;
-    c.field("reliable.enabled", r.enabled);
-    c.field("reliable.retransmitTimeout",
-            std::uint64_t(r.retransmitTimeout));
-    c.field("reliable.retransmitTimeoutMax",
-            std::uint64_t(r.retransmitTimeoutMax));
-    c.field("reliable.maxRetransmits",
-            std::uint64_t(r.maxRetransmits));
-    c.field("reliable.ackDelay", std::uint64_t(r.ackDelay));
-    c.field("reliable.reorderBufCap",
-            std::uint64_t(r.reorderBufCap));
-    c.field("reliable.crc", r.crc);
-
-    const RecoveryConfig &rc = cfg.recovery;
-    c.field("recovery.enabled", rc.enabled);
-    c.field("recovery.repairTicks", std::uint64_t(rc.repairTicks));
-    c.field("recovery.missTimeoutTicks",
-            std::uint64_t(rc.missTimeoutTicks));
-    c.field("recovery.timeoutRetries",
-            std::uint64_t(rc.timeoutRetries));
-    c.field("recovery.probeRetries",
-            std::uint64_t(rc.probeRetries));
-    c.field("recovery.probeFanout", std::uint64_t(rc.probeFanout));
-
-    const IntegrityConfig &ic = cfg.integrity;
-    c.field("integrity.enabled", ic.enabled);
-    c.field("integrity.scrubIntervalTicks",
-            std::uint64_t(ic.scrubIntervalTicks));
 
     const VerifyConfig &v = cfg.verify;
     c.field("verify.checker", v.checker);

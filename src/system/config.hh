@@ -10,11 +10,9 @@
 #include <string>
 
 #include "net/network.hh"
-#include "net/reliable.hh"
 #include "node/smp_node.hh"
 #include "obs/obs_config.hh"
-#include "recovery/recovery_config.hh"
-#include "verify/integrity_config.hh"
+#include "sim/fault_tolerance.hh"
 #include "verify/verify_config.hh"
 
 namespace ccnuma
@@ -63,9 +61,9 @@ struct MachineConfig
      * nodes over k queues advanced in adaptive windows, with results
      * bit-identical to the serial run with forceSyncDefer (sharded
      * runs always defer sync grants). Only the clean machine shards:
-     * arming any checker, watchdog, tracer, fault, the reliable
-     * transport (or recovery or integrity) or first-touch placement
-     * takes the counted serial fallback of lookahead(). numNodes
+     * arming any checker, watchdog, tracer, fault, a fault-tolerance
+     * level above None or first-touch placement takes the counted
+     * serial fallback of lookahead(). numNodes
      * must divide evenly. The CCNUMA_SHARDS environment variable
      * overrides without a config change.
      */
@@ -88,36 +86,20 @@ struct MachineConfig
     VerifyConfig verify;
 
     /**
-     * End-to-end message recovery (PR 2): reliable transport under
-     * the protocol plus a bounded NACK-retry policy in the
-     * controllers. Off by default so paper-fidelity timing is
-     * unchanged; the CCNUMA_RELIABLE environment variable (1|on)
-     * force-enables it without a config change.
+     * Fault handling layered around the protocol (DESIGN.md §12,
+     * §16, §17); the levels nest. None, the default, is the paper's
+     * machine, so paper-fidelity timing is unchanged. Transport adds
+     * the reliable transport and bounds the NACK retry
+     * (RetryTracker); Recovery adds miss timers, controller restart
+     * and directory rebuild; Integrity adds CRC frames, ECC
+     * scrubbing and line poisoning. Crash faults
+     * (verify.faults.crashes) need Recovery and bit flips
+     * (verify.faults.flips) need Integrity; validate() rejects them
+     * otherwise. The builders below and the CCNUMA_RELIABLE,
+     * CCNUMA_RECOVERY and CCNUMA_INTEGRITY environment variables
+     * raise the level and never lower it.
      */
-    ReliableParams reliable;
-
-    /**
-     * Fail-stop crash recovery (PR 6): controller restart, directory
-     * reconstruction, the miss-timeout escalation ladder, and
-     * degraded-mode page remapping. Off by default; crash faults are
-     * listed in verify.faults.crashes and rejected by validate()
-     * unless this is enabled together with the reliable transport.
-     * The CCNUMA_RECOVERY environment variable (1|on) force-enables
-     * it (implying the reliable transport) without a config change.
-     */
-    RecoveryConfig recovery;
-
-    /**
-     * End-to-end data integrity (PR 7): CRC-32 on transport frames,
-     * SECDED ECC on directory entries and cache lines with a
-     * background scrubber, and line poisoning for uncorrectable
-     * errors. Off by default; bit flips are listed in
-     * verify.faults.flips and rejected by validate() unless this is
-     * enabled. The CCNUMA_INTEGRITY environment variable (1|on)
-     * force-enables it (implying the reliable transport) without a
-     * config change.
-     */
-    IntegrityConfig integrity;
+    FaultTolerance faultTolerance = FaultTolerance::None;
 
     /**
      * Observability subsystem (per-request tracing, occupancy
@@ -136,36 +118,34 @@ struct MachineConfig
     static MachineConfig base();
 
     /**
-     * Enable the reliable transport sublayer and switch the
-     * controllers from the paper's immediate unbounded NACK retry to
-     * a capped-exponential-backoff bounded policy (escalating to a
-     * FatalError diagnostic instead of livelocking).
+     * Raise faultTolerance to at least Transport: the reliable
+     * transport sublayer, and the controllers switch from the paper's
+     * immediate unbounded NACK retry to a capped-exponential-backoff
+     * bounded policy (escalating to a FatalError diagnostic instead
+     * of livelocking).
      */
     MachineConfig &withReliableTransport();
 
     /**
-     * Enable the fail-stop crash-recovery subsystem. Implies
-     * withReliableTransport(): a crashed controller fences its
-     * receive side and relies on sender retransmission to re-deliver
-     * what it dropped, so recovery without the transport is rejected
-     * by validate().
+     * Raise faultTolerance to at least Recovery: fail-stop crash
+     * recovery on top of the reliable transport, which a crashed
+     * controller relies on to re-deliver what its fenced receive
+     * side dropped.
      */
     MachineConfig &withCrashRecovery();
 
     /**
-     * Enable the data-integrity subsystem: per-frame CRC-32 on the
-     * reliable transport (implies withReliableTransport(): a
-     * corrupted frame is discarded as a loss and re-delivered by
-     * retransmission), SECDED ECC + scrubbing on directories and
-     * caches, and line poisoning. Directory-UE escalation rebuilds
-     * through the crash-recovery subsystem, so this implies
-     * withCrashRecovery() too.
+     * Raise faultTolerance to Integrity: per-frame CRC-32 on the
+     * reliable transport (a corrupted frame is discarded as a loss
+     * and re-delivered by retransmission), SECDED ECC + scrubbing on
+     * directories and caches, and line poisoning. A directory UE
+     * escalates through crash recovery, which this level includes.
      */
     MachineConfig &withIntegrity();
 
     /**
      * Apply the CCNUMA_* environment overrides (README, "Environment
-     * knobs"): reliable transport, crash recovery, integrity, shard
+     * knobs"): the fault-tolerance level (raised only), shard
      * count, tick limit, sync deferral, verification and tracing.
      * Machine's constructor resolves its config through this, and so
      * does the result-cache key, so a cached result is always keyed

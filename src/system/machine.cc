@@ -56,9 +56,11 @@ Machine::Machine(const MachineConfig &cfg)
         "sync", shardMap_, cfg_.syncBase, cfg_.node.lineBytes);
     sync_->setHandoffTicks(cfg_.syncHandoffTicks);
     sync_->setForceDefer(cfg_.forceSyncDefer);
-    if (cfg_.reliable.enabled) {
+    const FaultTolerance ft = cfg_.faultTolerance;
+    if (ft >= FaultTolerance::Transport) {
         xport_ = std::make_unique<ReliableTransport>(
-            "xport", *queues_[0], *net_, cfg_.reliable,
+            "xport", *queues_[0], *net_,
+            /*crc=*/ft >= FaultTolerance::Integrity,
             [this](const Msg &m) { deliverMsg(m); });
         if (injector_) {
             xport_->setCorruptHook(
@@ -71,7 +73,7 @@ Machine::Machine(const MachineConfig &cfg)
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         nodes_.push_back(std::make_unique<SmpNode>(
             "node" + std::to_string(n), shardMap_.of(n), n, cfg_.node,
-            cfg_.recovery, *net_, map_, *sync_, next_version));
+            ft, *net_, map_, *sync_, next_version));
         nodes_.back()->cc().setRouter(this);
         if (xport_)
             nodes_.back()->cc().setTransport(xport_.get());
@@ -111,10 +113,10 @@ Machine::Machine(const MachineConfig &cfg)
                 });
         }
     }
-    if (cfg_.recovery.enabled) {
+    if (ft >= FaultTolerance::Recovery) {
         recovery_ = std::make_unique<RecoveryManager>(
             *queues_[0], map_, node_ptrs(), xport_.get(),
-            injector_.get(), checker_.get(), cfg_.recovery);
+            injector_.get(), checker_.get());
         recovery_->arm();
     }
     if (cfg_.obs.enabled) {
@@ -138,10 +140,9 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
 
-    if (cfg_.integrity.enabled) {
+    if (ft >= FaultTolerance::Integrity) {
         integrity_ = std::make_unique<IntegrityManager>(
-            *queues_[0], map_, node_ptrs(), injector_.get(),
-            cfg_.integrity, cfg_.recovery.repairTicks);
+            *queues_[0], map_, node_ptrs(), injector_.get());
         integrity_->setTracer(tracer());
         integrity_->arm();
         // The poison fence: when a requester bounces off a dead
@@ -456,8 +457,10 @@ Machine::collect(const Workload &w, Tick exec, bool completed)
     RunResult r;
     r.workload = w.name();
     r.arch = std::string(engineTypeName(cfg_.node.cc.engineType));
-    if (cfg_.node.cc.numEngines > 1)
-        r.arch += "x" + std::to_string(cfg_.node.cc.numEngines);
+    if (cfg_.node.cc.numEngines > 1) {
+        r.arch += 'x';
+        r.arch += std::to_string(cfg_.node.cc.numEngines);
+    }
     r.execTicks = exec;
     for (unsigned i = 0; i < totalProcs(); ++i) {
         Processor &p = proc(i);
@@ -527,8 +530,10 @@ Machine::run(Workload &w, bool check)
         dumpDiagnostics(std::cerr);
         std::string stuck;
         for (unsigned i = 0; i < n; ++i) {
-            if (!proc(i).finished())
-                stuck += " " + std::to_string(i);
+            if (!proc(i).finished()) {
+                stuck += ' ';
+                stuck += std::to_string(i);
+            }
         }
         std::uint64_t pending = 0;
         for (auto &q : queues_)
@@ -575,7 +580,7 @@ Machine::resetStats()
 {
     net_->resetStats();
     if (xport_)
-        xport_->resetStats();
+        xport_->statGroup().resetAll();
     sync_->statGroup().resetAll();
     for (auto &nd : nodes_) {
         nd->bus().statGroup().resetAll();
@@ -690,10 +695,8 @@ Machine::printStats(std::ostream &os)
 {
     net_->syncStats();
     net_->statGroup().print(os);
-    if (xport_) {
-        xport_->syncStats();
+    if (xport_)
         xport_->statGroup().print(os);
-    }
     if (tracer_)
         tracer_->statGroup().print(os);
     sync_->statGroup().print(os);

@@ -17,11 +17,42 @@
 #include <cstdint>
 #include <vector>
 
-#include "recovery/recovery_config.hh"
 #include "sim/types.hh"
 
 namespace ccnuma
 {
+
+/**
+ * One seeded fail-stop fault against a coherence controller.
+ * At @c atTick every in-flight handler, dispatch queue entry and
+ * transient protocol map on the node's controller is dropped on the
+ * floor, and with @c loseDirectory the directory SRAM contents too.
+ * The node's processor caches, snooping bus and network interface
+ * survive: the fault models a controller card fail-stop, not a node
+ * power cut.
+ */
+struct CrashFault
+{
+    /** Node whose coherence controller fail-stops. */
+    NodeId node = 0;
+
+    /** Tick at which the controller dies. */
+    Tick atTick = 0;
+
+    /**
+     * Lose the directory SRAM contents too: on restart the home
+     * enters a RECOVERING epoch and rebuilds the full map from
+     * DirProbe responses before serving requests again.
+     */
+    bool loseDirectory = false;
+
+    /**
+     * The controller never restarts. The timeout ladder at the
+     * requesting cache units escalates to degraded mode: the dead
+     * home is fenced off and its pages are remapped to a successor.
+     */
+    bool permanent = false;
+};
 
 /** Where a seeded bit flip lands (PR 7 integrity faults). */
 enum class FlipDomain : std::uint8_t
@@ -97,8 +128,8 @@ struct FaultConfig
      * Scheduled coherence-controller crashes. Unlike the knobs above
      * these are not probabilistic: each entry fail-stops one named
      * controller at one tick, which keeps campaign points exactly
-     * reproducible. Requires recovery.enabled and the reliable
-     * transport (validate() enforces both).
+     * reproducible. Requires FaultTolerance::Recovery or above
+     * (validate() enforces it).
      */
     std::vector<CrashFault> crashes;
 
@@ -106,7 +137,8 @@ struct FaultConfig
      * Scheduled silent-data-corruption bit flips (PR 7). Like
      * crashes, each entry is a deterministic single fault event:
      * at one tick it flips 1 or 2 bits of one protected word in one
-     * domain. Requires integrity.enabled (validate() enforces it);
+     * domain. Requires FaultTolerance::Integrity (validate()
+     * enforces it);
      * the defenses (CRC, SECDED ECC, scrubbing, line poisoning) must
      * leave zero escaped corruptions.
      */

@@ -9,14 +9,11 @@ namespace ccnuma
 
 IntegrityManager::IntegrityManager(EventQueue &eq, AddressMap &map,
                                    std::vector<SmpNode *> nodes,
-                                   FaultInjector *injector,
-                                   const IntegrityConfig &cfg,
-                                   Tick repair_ticks)
+                                   FaultInjector *injector)
     : eq_(eq), map_(map), nodes_(std::move(nodes)),
-      injector_(injector), cfg_(cfg), repairTicks_(repair_ticks)
+      injector_(injector)
 {
     ccnuma_assert(!nodes_.empty());
-    ccnuma_assert(cfg_.scrubIntervalTicks > 0);
 }
 
 void
@@ -100,7 +97,8 @@ IntegrityManager::fireDirectoryFlip(const FlipFault &f)
             if (cc.ccState() == CoherenceController::CcState::Crashed)
                 cc.restart();
         },
-        eq_.curTick() + repairTicks_, Event::defaultPriority,
+        eq_.curTick() + CoherenceController::repairTicks,
+        Event::defaultPriority,
         "integrity escalation restart");
 }
 
@@ -210,8 +208,7 @@ IntegrityManager::scheduleScrub()
         return;
     scrubScheduled_ = true;
     const Tick now = eq_.curTick();
-    const Tick next =
-        (now / cfg_.scrubIntervalTicks + 1) * cfg_.scrubIntervalTicks;
+    const Tick next = (now / scrubIntervalTicks + 1) * scrubIntervalTicks;
     eq_.scheduleFunction(
         [this] {
             scrubScheduled_ = false;

@@ -39,7 +39,6 @@
 #include "node/smp_node.hh"
 #include "sim/event_queue.hh"
 #include "verify/fault_config.hh"
-#include "verify/integrity_config.hh"
 
 namespace ccnuma
 {
@@ -56,15 +55,19 @@ class IntegrityManager
 {
   public:
     /**
+     * Background scrub period (ticks). A latent single-bit error
+     * injected at tick T is repaired no later than the next multiple
+     * of this interval, sooner if an access touches the word first.
+     */
+    static constexpr Tick scrubIntervalTicks = 10'000;
+
+    /**
      * @param injector source of the FlipFault list (may be null:
      *        defenses armed but no faults scheduled)
-     * @param repair_ticks restart delay for a directory-UE
-     *        escalation (the recovery config's repairTicks)
      */
     IntegrityManager(EventQueue &eq, AddressMap &map,
                      std::vector<SmpNode *> nodes,
-                     FaultInjector *injector,
-                     const IntegrityConfig &cfg, Tick repair_ticks);
+                     FaultInjector *injector);
 
     /** Schedule every configured flip. */
     void arm();
@@ -129,8 +132,6 @@ class IntegrityManager
     AddressMap &map_;
     std::vector<SmpNode *> nodes_;
     FaultInjector *injector_;
-    IntegrityConfig cfg_;
-    Tick repairTicks_;
     obs::Tracer *tracer_ = nullptr;
     bool scrubScheduled_ = false;
 

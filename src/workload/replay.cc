@@ -7,6 +7,7 @@
 #include <fstream>
 #include <type_traits>
 
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 namespace ccnuma
@@ -310,8 +311,7 @@ ReplayCache *
 globalReplayCache()
 {
     static ReplayCache *cache = []() -> ReplayCache * {
-        const char *onoff = std::getenv("CCNUMA_REPLAY");
-        if (onoff != nullptr && std::string(onoff) == "0")
+        if (!envSwitch("CCNUMA_REPLAY", true))
             return nullptr;
         std::uint64_t cap = 256ull << 20;
         if (const char *b = std::getenv("CCNUMA_REPLAY_BYTES"))

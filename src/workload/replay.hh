@@ -34,7 +34,9 @@
  * atomic tmp+rename publish. Every outcome is counted.
  *
  * Environment knobs (read once, at first globalReplayCache() use):
- *  - CCNUMA_REPLAY=0       disable replay entirely (always generate)
+ *  - CCNUMA_REPLAY=0|off   disable replay entirely (always generate);
+ *                          1|on or unset keeps it, anything else warns
+ *                          and keeps it
  *  - CCNUMA_REPLAY_BYTES=N in-memory cap in bytes (default 256 MiB)
  *  - CCNUMA_REPLAY_DIR=D   persist captured traces under D
  */
@@ -221,8 +223,8 @@ class ReplayWorkload : public Workload
 
 /**
  * Process-wide replay cache, configured from the environment on first
- * use. nullptr when CCNUMA_REPLAY=0 — callers fall back to generating
- * every stream.
+ * use. nullptr when CCNUMA_REPLAY is 0 or off — callers fall back to
+ * generating every stream.
  */
 ReplayCache *globalReplayCache();
 

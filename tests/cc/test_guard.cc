@@ -4,9 +4,10 @@
  * lone controller wired to its node's bus and memory and to a router
  * that captures every message it sends: a rebuilding home nacks
  * requests and parks writebacks, a poisoned line bounces remote
- * requests and fences local ones, and a response whose transaction
- * died in a crash is dropped. Also pins the message-traits rows the
- * guard, the queues and the crash sweep read.
+ * requests and fences local ones, a response whose transaction died
+ * in a crash is dropped, and a rebuild probes every peer in one wave.
+ * Also pins the message-traits rows the guard, the queues and the
+ * crash sweep read.
  */
 
 #include <gtest/gtest.h>
@@ -49,24 +50,18 @@ class Requester : public BusAgent
     std::vector<std::uint64_t> done;
 };
 
-RecoveryConfig
-recoveryConfig(bool enabled)
-{
-    RecoveryConfig rc;
-    rc.enabled = enabled;
-    return rc;
-}
-
-/** Node 0's controller in a two-node machine, and nothing else. */
+/** Node 0's controller in a @p nodes-node machine, and nothing else. */
 struct Harness
 {
-    /** Pages interleave across the nodes: page 2 is homed at 0. */
+    /** Pages interleave across two nodes: page 2 is homed at 0. */
     static constexpr Addr kHomeLine = 0x2000;
     static constexpr Addr kRemoteLine = 0x1000;
 
-    explicit Harness(bool recovery = true)
-        : cc("node0.cc", eq, 0, CcParams{}, recoveryConfig(recovery), bus,
-             net, map, dir)
+    explicit Harness(bool recovery = true, unsigned nodes = 2)
+        : net("net", eq, nodes, NetworkParams{}), map(nodes),
+          cc("node0.cc", eq, 0, CcParams{},
+             recovery ? FaultTolerance::Recovery : FaultTolerance::None,
+             bus, net, map, dir)
     {
         bus.setMemory(&mem);
         cc.setMemory(&mem);
@@ -74,14 +69,15 @@ struct Harness
         cpuId = bus.addAgent(&cpu);
     }
 
-    /** Deliver one message from node 1 and run to quiescence. */
+    /** Deliver one message from @p src and run to quiescence. */
     void
-    deliver(MsgType type, Addr line, std::uint64_t version = 0)
+    deliver(MsgType type, Addr line, std::uint64_t version = 0,
+            NodeId src = 1)
     {
         Msg m;
         m.type = type;
         m.lineAddr = line;
-        m.src = 1;
+        m.src = src;
         m.dst = 0;
         m.requester = 1;
         m.version = version;
@@ -113,8 +109,8 @@ struct Harness
     Bus bus{"node0.bus", eq, BusParams{}, 128};
     MemoryController mem{"node0.mem", MemoryParams{}, 128};
     DirectoryStore dir{"node0.dir", DirectoryParams{}, 128};
-    Network net{"net", eq, 2, NetworkParams{}};
-    AddressMap map{2};
+    Network net;
+    AddressMap map;
     CoherenceController cc;
     CaptureRouter router;
     Requester cpu;
@@ -151,6 +147,31 @@ TEST(GuardStage, RebuildingHomeParksWriteBacks)
     EXPECT_EQ(h.cc.dirRebuilds(), 1u);
     EXPECT_EQ(h.router.count(MsgType::WriteBackAck), 2u);
     EXPECT_TRUE(h.cc.idle());
+}
+
+TEST(GuardStage, RebuildProbesEveryPeerInOneWave)
+{
+    // A home that lost its directory probes all of its peers at once,
+    // in ascending order, and leaves the rebuild only when every
+    // peer's DirProbeDone is in. No second wave follows.
+    Harness h(/*recovery=*/true, /*nodes=*/4);
+    h.cc.crash(/*lose_directory=*/true);
+    h.cc.restart();
+    h.eq.run();
+    std::vector<NodeId> probed;
+    for (const Msg &m : h.router.sent) {
+        EXPECT_EQ(m.type, MsgType::DirProbe);
+        probed.push_back(m.dst);
+    }
+    EXPECT_EQ(probed, (std::vector<NodeId>{1, 2, 3}));
+    for (NodeId peer : {3u, 1u, 2u}) {
+        ASSERT_EQ(h.cc.ccState(),
+                  CoherenceController::CcState::Recovering);
+        h.deliver(MsgType::DirProbeDone, 0, /*responses=*/0, peer);
+    }
+    EXPECT_EQ(h.cc.ccState(), CoherenceController::CcState::Normal);
+    EXPECT_EQ(h.cc.dirRebuilds(), 1u);
+    EXPECT_EQ(h.router.count(MsgType::DirProbe), 3u);
 }
 
 TEST(GuardStage, PoisonedLineNacksRemoteRequest)

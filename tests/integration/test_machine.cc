@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "system/machine.hh"
 #include "workload/synthetic.hh"
@@ -123,24 +125,6 @@ TEST(MachineConfigTest, ValidateRejectsNonsense)
     {
         MachineConfig cfg = MachineConfig::base();
         cfg.maxTicks = 0;
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg =
-            MachineConfig::base().withReliableTransport();
-        cfg.reliable.retransmitTimeout = 0;
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg =
-            MachineConfig::base().withReliableTransport();
-        cfg.reliable.retransmitTimeoutMax = 100; // below the base 400
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg =
-            MachineConfig::base().withReliableTransport();
-        cfg.node.cc.retry.backoffMax = 1; // below backoffBase 32
         EXPECT_THROW(cfg.validate(), FatalError);
     }
 }
@@ -301,6 +285,87 @@ TEST(MachineConfigTest, BadTraceEnvKeepsConfiguredValues)
 
     cfg.obs.ringCapacity = ~std::size_t(0);
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+TEST(MachineConfigTest, FaultToleranceBuildersOnlyRaise)
+{
+    using FT = FaultTolerance;
+    // Each builder raises the level to its own and never lowers it,
+    // so the order of the calls does not matter.
+    EXPECT_EQ(MachineConfig::base().faultTolerance, FT::None);
+    EXPECT_EQ(MachineConfig::base().withReliableTransport().faultTolerance,
+              FT::Transport);
+    EXPECT_EQ(MachineConfig::base().withCrashRecovery().faultTolerance,
+              FT::Recovery);
+    EXPECT_EQ(MachineConfig::base().withIntegrity().faultTolerance,
+              FT::Integrity);
+    EXPECT_EQ(MachineConfig::base()
+                  .withIntegrity()
+                  .withCrashRecovery()
+                  .withReliableTransport()
+                  .faultTolerance,
+              FT::Integrity);
+    EXPECT_EQ(MachineConfig::base()
+                  .withCrashRecovery()
+                  .withReliableTransport()
+                  .faultTolerance,
+              FT::Recovery);
+}
+
+TEST(MachineConfigTest, FaultToleranceEnvKnobsOnlyRaise)
+{
+    using FT = FaultTolerance;
+    // The environment knobs raise the level as the builders do; off
+    // leaves the built level alone, however high or low it is.
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit()
+        {
+            unsetenv("CCNUMA_RELIABLE");
+            unsetenv("CCNUMA_RECOVERY");
+            unsetenv("CCNUMA_INTEGRITY");
+        }
+    } unset_on_exit;
+    const std::pair<const char *, FT> knobs[] = {
+        {"CCNUMA_RELIABLE", FT::Transport},
+        {"CCNUMA_RECOVERY", FT::Recovery},
+        {"CCNUMA_INTEGRITY", FT::Integrity},
+    };
+    for (const auto &[knob, raised] : knobs) {
+        for (FT built :
+             {FT::None, FT::Transport, FT::Recovery, FT::Integrity}) {
+            SCOPED_TRACE(std::string(knob) + " on a " +
+                         faultToleranceName(built) + " config");
+            MachineConfig cfg = MachineConfig::base();
+            cfg.faultTolerance = built;
+            ASSERT_EQ(setenv(knob, "on", 1), 0);
+            EXPECT_EQ(MachineConfig(cfg).withEnvOverrides().faultTolerance,
+                      std::max(built, raised));
+            ASSERT_EQ(setenv(knob, "off", 1), 0);
+            EXPECT_EQ(MachineConfig(cfg).withEnvOverrides().faultTolerance,
+                      built);
+        }
+        unsetenv(knob);
+    }
+}
+
+TEST(MachineConfigTest, FaultToleranceLevelsNest)
+{
+    using FT = FaultTolerance;
+    // Each level arms its own subsystems and every one below it.
+    for (FT level :
+         {FT::None, FT::Transport, FT::Recovery, FT::Integrity}) {
+        SCOPED_TRACE(faultToleranceName(level));
+        MachineConfig cfg = MachineConfig::base();
+        cfg.numNodes = 2;
+        cfg.node.procsPerNode = 1;
+        cfg.faultTolerance = level;
+        Machine m(cfg);
+        EXPECT_EQ(m.transport() != nullptr, level >= FT::Transport);
+        EXPECT_EQ(m.recoveryManager() != nullptr, level >= FT::Recovery);
+        EXPECT_EQ(m.integrityManager() != nullptr,
+                  level >= FT::Integrity);
+    }
 }
 
 TEST(MachinePerf, PpcSlowerThanHwcUnderLoad)

@@ -100,8 +100,9 @@ TEST_P(CacheVsReference, LongRandomSequenceAgrees)
                 Addr ref_victim = ref.allocate(addr);
                 ASSERT_EQ(v.valid,
                           ref_victim != ~static_cast<Addr>(0));
-                if (v.valid)
+                if (v.valid) {
                     ASSERT_EQ(v.lineAddr, ref_victim);
+                }
             }
         } else if (op < 9) {
             // External invalidation.

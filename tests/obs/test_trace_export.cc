@@ -346,8 +346,9 @@ TEST(TraceExport, MidRunResetDropsPreResetSpans)
     for (unsigned c = 0; c < obs::numReqClasses; ++c) {
         const auto &d =
             t->classLatency(static_cast<obs::ReqClass>(c));
-        if (d.count())
+        if (d.count()) {
             EXPECT_GE(d.minValue(), 0.0);
+        }
     }
 }
 

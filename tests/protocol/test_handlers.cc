@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "protocol/handlers.hh"
 #include "protocol/messages.hh"
 #include "protocol/occupancy.hh"
+#include "protocol/retry.hh"
 
 namespace ccnuma
 {
@@ -168,6 +170,40 @@ TEST(Occupancy, HybridBetweenHwcAndPp)
         Tick p = s.nominalOccupancy(pp, 0);
         EXPECT_LE(h, y) << s.name;
         EXPECT_LE(y, p) << s.name;
+    }
+}
+
+TEST(RetryPolicy, FollowsFaultToleranceLevel)
+{
+    // Below Transport a nacked request retries at once and without
+    // bound, as in the paper; from Transport up it backs off 32, 64,
+    // ... ticks up to 8192 and escalates on the 65th retry.
+    RetryTracker paper(FaultTolerance::None);
+    EXPECT_FALSE(paper.bounded());
+    for (unsigned i = 1; i <= 1000; ++i) {
+        RetryTracker::Attempt a = paper.next(0x80);
+        ASSERT_EQ(a.delay, 0u);
+        ASSERT_FALSE(a.exhausted);
+        ASSERT_EQ(a.count, i);
+    }
+    for (FaultTolerance level :
+         {FaultTolerance::Transport, FaultTolerance::Recovery,
+          FaultTolerance::Integrity}) {
+        SCOPED_TRACE(faultToleranceName(level));
+        RetryTracker t(level);
+        EXPECT_TRUE(t.bounded());
+        Tick expect = 32;
+        for (unsigned i = 1; i <= 64; ++i) {
+            RetryTracker::Attempt a = t.next(0x80);
+            ASSERT_EQ(a.delay, expect) << "retry " << i;
+            ASSERT_FALSE(a.exhausted);
+            expect = std::min<Tick>(2 * expect, 8192);
+        }
+        EXPECT_TRUE(t.next(0x80).exhausted);
+        // Success forgets the streak; other keys never shared it.
+        t.clear(0x80);
+        EXPECT_EQ(t.next(0x80).delay, 32u);
+        EXPECT_EQ(t.next(0x100).delay, 32u);
     }
 }
 

@@ -76,6 +76,8 @@ perturbations()
         {"machine.syncHandoffTicks",
          [](C &c) { c.syncHandoffTicks += 1; }},
         {"machine.maxTicks", [](C &c) { c.maxTicks += 1; }},
+        {"machine.faultTolerance",
+         [](C &c) { c.faultTolerance = FaultTolerance::Transport; }},
         // Grant timing is result-affecting: a serial run with forced
         // deferral produces the sharded timing, not the seed's
         // zero-delay wakes, so the two must not share a cache entry.
@@ -125,12 +127,6 @@ perturbations()
          }},
         {"cc.dynamicSplit",
          [](C &c) { c.node.cc.dynamicSplit = !c.node.cc.dynamicSplit; }},
-        {"cc.retry.backoffBase",
-         [](C &c) { c.node.cc.retry.backoffBase += 1; }},
-        {"cc.retry.backoffMax",
-         [](C &c) { c.node.cc.retry.backoffMax += 1; }},
-        {"cc.retry.maxRetries",
-         [](C &c) { c.node.cc.retry.maxRetries += 1; }},
         {"cache.l1Bytes", [](C &c) { c.node.cache.l1Bytes *= 2; }},
         {"cache.l1Assoc", [](C &c) { c.node.cache.l1Assoc *= 2; }},
         {"cache.l2Bytes", [](C &c) { c.node.cache.l2Bytes *= 2; }},
@@ -152,35 +148,6 @@ perturbations()
         {"net.portWidthBytes",
          [](C &c) { c.net.portWidthBytes *= 2; }},
         {"net.portCycle", [](C &c) { c.net.portCycle += 1; }},
-        {"reliable.enabled",
-         [](C &c) { c.reliable.enabled = !c.reliable.enabled; }},
-        {"reliable.retransmitTimeout",
-         [](C &c) { c.reliable.retransmitTimeout += 1; }},
-        {"reliable.retransmitTimeoutMax",
-         [](C &c) { c.reliable.retransmitTimeoutMax += 1; }},
-        {"reliable.maxRetransmits",
-         [](C &c) { c.reliable.maxRetransmits += 1; }},
-        {"reliable.ackDelay", [](C &c) { c.reliable.ackDelay += 1; }},
-        {"reliable.reorderBufCap",
-         [](C &c) { c.reliable.reorderBufCap += 1; }},
-        {"reliable.crc",
-         [](C &c) { c.reliable.crc = !c.reliable.crc; }},
-        {"recovery.enabled",
-         [](C &c) { c.recovery.enabled = !c.recovery.enabled; }},
-        {"recovery.repairTicks",
-         [](C &c) { c.recovery.repairTicks += 1; }},
-        {"recovery.missTimeoutTicks",
-         [](C &c) { c.recovery.missTimeoutTicks += 1; }},
-        {"recovery.timeoutRetries",
-         [](C &c) { c.recovery.timeoutRetries += 1; }},
-        {"recovery.probeRetries",
-         [](C &c) { c.recovery.probeRetries += 1; }},
-        {"recovery.probeFanout",
-         [](C &c) { c.recovery.probeFanout += 1; }},
-        {"integrity.enabled",
-         [](C &c) { c.integrity.enabled = !c.integrity.enabled; }},
-        {"integrity.scrubIntervalTicks",
-         [](C &c) { c.integrity.scrubIntervalTicks += 1; }},
         {"verify.checker",
          [](C &c) { c.verify.checker = !c.verify.checker; }},
         {"verify.watchdog",
@@ -257,6 +224,26 @@ TEST(Canonical, EveryConfigFieldChangesTheHash)
             << p.name << ": canonical form did not change";
         EXPECT_NE(k.hash, base_key.hash)
             << p.name << ": hash did not change";
+    }
+}
+
+TEST(Canonical, EveryFaultToleranceLevelKeysApart)
+{
+    // The level is one row, but each value is its own simulation.
+    std::vector<std::string> keys;
+    for (FaultTolerance level :
+         {FaultTolerance::None, FaultTolerance::Transport,
+          FaultTolerance::Recovery, FaultTolerance::Integrity}) {
+        MachineConfig cfg = baseConfig();
+        cfg.faultTolerance = level;
+        const std::string canon = keyFor(cfg).canonical;
+        EXPECT_NE(canon.find(std::string("machine.faultTolerance=") +
+                             faultToleranceName(level) + "\n"),
+                  std::string::npos)
+            << canon;
+        for (const std::string &k : keys)
+            EXPECT_NE(k, canon) << faultToleranceName(level);
+        keys.push_back(canon);
     }
 }
 
@@ -351,7 +338,7 @@ TEST(Canonical, HashIsStableAcrossRuns)
     // result persisted under the old one into a miss.
     EXPECT_EQ(makePointKey(MachineConfig::base(), "FFT", baseParams())
                   .hash,
-              0x48bcf4e4ef4cdf95ull);
+              0xf20d4ecef51dd751ull);
 }
 
 } // namespace

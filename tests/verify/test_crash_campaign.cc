@@ -180,23 +180,18 @@ TEST(CrashCampaign, CrashFaultsForceSerialScheduler)
 
 TEST(CrashConfigValidation, CrashWithoutRecoveryRejected)
 {
-    MachineConfig cfg = smallConfig();
-    CrashFault f;
-    f.node = 1;
-    f.atTick = 100;
-    cfg.verify.faults.crashes.push_back(f);
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(CrashConfigValidation, CrashWithoutReliableTransportRejected)
-{
-    MachineConfig cfg = smallConfig();
-    cfg.recovery.enabled = true; // but NOT the reliable transport
-    CrashFault f;
-    f.node = 1;
-    f.atTick = 100;
-    cfg.verify.faults.crashes.push_back(f);
-    EXPECT_THROW(cfg.validate(), FatalError);
+    // The reliable transport alone cannot restart a dead controller.
+    for (FaultTolerance level :
+         {FaultTolerance::None, FaultTolerance::Transport}) {
+        MachineConfig cfg = smallConfig();
+        cfg.faultTolerance = level;
+        CrashFault f;
+        f.node = 1;
+        f.atTick = 100;
+        cfg.verify.faults.crashes.push_back(f);
+        EXPECT_THROW(cfg.validate(), FatalError)
+            << faultToleranceName(level);
+    }
 }
 
 TEST(CrashConfigValidation, CrashNodeOutOfRangeRejected)
@@ -206,28 +201,6 @@ TEST(CrashConfigValidation, CrashNodeOutOfRangeRejected)
     f.node = 7; // only 2 nodes
     f.atTick = 100;
     cfg.verify.faults.crashes.push_back(f);
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(CrashConfigValidation, MissTimeoutBelowTransportRtoRejected)
-{
-    MachineConfig cfg = smallConfig().withCrashRecovery();
-    cfg.recovery.missTimeoutTicks =
-        cfg.reliable.retransmitTimeoutMax; // must EXCEED it
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(CrashConfigValidation, ZeroRepairTicksRejected)
-{
-    MachineConfig cfg = smallConfig().withCrashRecovery();
-    cfg.recovery.repairTicks = 0;
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(CrashConfigValidation, ProbeFanoutBeyondPeersRejected)
-{
-    MachineConfig cfg = smallConfig().withCrashRecovery();
-    cfg.recovery.probeFanout = cfg.numNodes; // > numNodes - 1 peers
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 

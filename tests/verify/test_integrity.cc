@@ -7,8 +7,7 @@
  * single-bit errors, uncorrectable errors are contained or escalated)
  * with zero escaped corruptions, an identical retired-instruction
  * count, and the coherence checker strict and silent throughout.
- * Also pins the configuration validation rules that keep the
- * subsystem's knobs consistent.
+ * Also pins the validation rules on flip inputs.
  */
 
 #include <gtest/gtest.h>
@@ -56,24 +55,17 @@ flipAt(FlipDomain domain, unsigned bits, Tick at,
 
 TEST(IntegrityConfig, FlipsRequireIntegrityEnabled)
 {
-    MachineConfig cfg = smallConfig();
-    cfg.verify.faults.flips.push_back(
-        flipAt(FlipDomain::Message, 1, 100));
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(IntegrityConfig, IntegrityRequiresCrcFrames)
-{
-    MachineConfig cfg = smallConfig().withCrashRecovery();
-    cfg.integrity.enabled = true; // without reliable.crc
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(IntegrityConfig, ScrubIntervalMustBePositive)
-{
-    MachineConfig cfg = smallConfig().withIntegrity();
-    cfg.integrity.scrubIntervalTicks = 0;
-    EXPECT_THROW(cfg.validate(), FatalError);
+    // Every level below Integrity leaves an injected flip undetected.
+    for (FaultTolerance level :
+         {FaultTolerance::None, FaultTolerance::Transport,
+          FaultTolerance::Recovery}) {
+        MachineConfig cfg = smallConfig();
+        cfg.faultTolerance = level;
+        cfg.verify.faults.flips.push_back(
+            flipAt(FlipDomain::Message, 1, 100));
+        EXPECT_THROW(cfg.validate(), FatalError)
+            << faultToleranceName(level);
+    }
 }
 
 TEST(IntegrityConfig, FlipNodeMustBeInRange)
@@ -90,18 +82,6 @@ TEST(IntegrityConfig, FlipBitsMustBeOneOrTwo)
     MachineConfig cfg = smallConfig().withIntegrity();
     cfg.verify.faults.flips.push_back(
         flipAt(FlipDomain::Directory, 3, 100));
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(IntegrityConfig, EscalatingFlipsRequireRecovery)
-{
-    // A directory double flip escalates through the crash-recovery
-    // machinery; integrity alone (recovery forced off) must be
-    // rejected rather than crash a controller nothing will restart.
-    MachineConfig cfg = smallConfig().withIntegrity();
-    cfg.recovery.enabled = false;
-    cfg.verify.faults.flips.push_back(
-        flipAt(FlipDomain::Directory, 2, 100));
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 

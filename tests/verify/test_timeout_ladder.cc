@@ -3,9 +3,10 @@
  * Timeout-escalation ladder: a permanently dead home must be survived
  * in degraded mode. One scripted miss against the dead node walks the
  * full ladder — per-miss timer expiry, re-send rung, recovery-probe
- * rung, degraded-mode entry — with each counter firing exactly the
- * configured number of times, and the run finishing checker-clean on
- * the surviving node after the dead home's pages are remapped.
+ * rung, degraded-mode entry — with each counter firing exactly as
+ * often as the controller's ladder constants say, and the run
+ * finishing checker-clean on the surviving node after the dead home's
+ * pages are remapped.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,7 @@ namespace
 {
 
 constexpr Tick kCrashTick = 10'000;
-constexpr Tick kMissTimeout = 15'000; // > transport RTO cap (12800)
+using CC = CoherenceController;
 
 MachineConfig
 ladderConfig()
@@ -36,9 +37,6 @@ ladderConfig()
     cfg.withArch(Arch::PPC);
     cfg.withCrashRecovery();
     cfg.verify.checker = true;
-    cfg.recovery.missTimeoutTicks = kMissTimeout;
-    cfg.recovery.timeoutRetries = 1; // rung 1: one re-send
-    cfg.recovery.probeRetries = 1;   // rung 2: one recovery probe
     CrashFault f;
     f.node = 1;
     f.atTick = kCrashTick;
@@ -87,12 +85,13 @@ TEST(TimeoutLadder, PermanentCrashEscalatesToDegradedMode)
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.crashesInjected, 1u);
 
-    // The ladder fired each rung exactly as configured: three timer
-    // expiries total — one answered by a re-send, one by a recovery
-    // probe, and the last by degraded-mode entry.
-    EXPECT_EQ(r.missTimeouts, 3u);
-    EXPECT_EQ(r.timeoutResends, 1u);
-    EXPECT_EQ(r.recoveryProbes, 1u);
+    // The ladder walked every rung: timeoutRetries expiries answered
+    // by a re-send, then probeRetries by a recovery probe, and the
+    // last one by degraded-mode entry (2 + 2 + 1 timer expiries).
+    static_assert(CC::timeoutRetries == 2 && CC::probeRetries == 2);
+    EXPECT_EQ(r.missTimeouts, CC::timeoutRetries + CC::probeRetries + 1);
+    EXPECT_EQ(r.timeoutResends, CC::timeoutRetries);
+    EXPECT_EQ(r.recoveryProbes, CC::probeRetries);
     EXPECT_EQ(r.degradedEntries, 1u);
 
     // The dead home was fenced and its pages remapped exactly once.
@@ -127,10 +126,10 @@ TEST(TimeoutLadder, NoEscalationWhenHomeRestartsInTime)
 {
     // Same script, but the crash is transient and repaired well
     // before the first miss timer expires: the ladder never fires.
+    static_assert(kCrashTick + CC::repairTicks < CC::missTimeoutTicks);
     MachineConfig cfg = ladderConfig();
     cfg.verify.faults.crashes[0].permanent = false;
     cfg.verify.faults.crashes[0].loseDirectory = false;
-    cfg.recovery.repairTicks = 2'000;
     Machine m(cfg);
     ScriptWorkload w = ladderWorkload(m);
     RunResult r = m.run(w);

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -364,6 +365,27 @@ TEST(Replay, TruncatedDiskFileIsIgnored)
     EXPECT_EQ(cold.stats().diskHits, 0u);
     EXPECT_EQ(cold.stats().captures, 1u);
     EXPECT_GT(buf->ops(), 0u);
+}
+
+/**
+ * CCNUMA_REPLAY is parsed like every other on/off knob: 0 and off
+ * disable the cache, 1 and on keep it, and anything else warns and
+ * keeps it. The process-wide cache is configured once, at first use,
+ * so each value is tried in a freshly started process.
+ */
+TEST(ReplayDeathTest, OnOffKnobParsedLikeEveryOther)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto exit_replaying = [](const char *value) {
+        setenv("CCNUMA_REPLAY", value, 1);
+        std::exit(globalReplayCache() != nullptr ? 1 : 0);
+    };
+    EXPECT_EXIT(exit_replaying("off"), testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(exit_replaying("0"), testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(exit_replaying("on"), testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(exit_replaying("1"), testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(exit_replaying("no"), testing::ExitedWithCode(1),
+                "CCNUMA_REPLAY=no not recognized");
 }
 
 } // namespace
