@@ -4,10 +4,15 @@
  * event queue throughput, cache lookups, and whole-protocol
  * transactions per second. These bound the wall-clock cost of the
  * table/figure reproductions.
+ *
+ * The binary counts operator new calls (one relaxed atomic add each,
+ * bench/alloc_count.cc) so that BM_ProtocolTransactions can report
+ * heap allocations per simulated reference next to its throughput.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +22,9 @@
 #include "sim/legacy_heap_queue.hh"
 #include "system/machine.hh"
 #include "workload/synthetic.hh"
+
+/** operator new calls so far (bench/alloc_count.cc). */
+std::uint64_t allocCount();
 
 namespace ccnuma
 {
@@ -238,8 +246,11 @@ void
 BM_ProtocolTransactions(benchmark::State &state)
 {
     // End-to-end cost of simulated remote misses, measured as
-    // simulated memory references per wall second.
+    // simulated memory references per wall second. allocs_per_ref
+    // counts the heap allocations Machine::run made per simulated
+    // reference (construction excluded).
     std::uint64_t refs = 0;
+    std::uint64_t allocs = 0;
     for (auto _ : state) {
         MachineConfig cfg = MachineConfig::base();
         cfg.numNodes = 4;
@@ -253,10 +264,15 @@ BM_ProtocolTransactions(benchmark::State &state)
         k.sharedFraction = 0.9;
         k.writeFraction = 0.4;
         UniformWorkload w(p, k);
+        const std::uint64_t before = allocCount();
         RunResult r = m.run(w);
+        allocs += allocCount() - before;
         refs += r.memRefs;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(refs));
+    state.counters["allocs_per_ref"] =
+        refs ? static_cast<double>(allocs) / static_cast<double>(refs)
+             : 0.0;
 }
 BENCHMARK(BM_ProtocolTransactions)->Unit(benchmark::kMillisecond);
 

@@ -22,14 +22,13 @@
 #define CCNUMA_BUS_BUS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -307,11 +306,13 @@ class Bus
     BusCoherenceHook *hook_ = nullptr;
     MemoryController *memory_ = nullptr;
 
-    std::deque<std::uint64_t> pendingGrants_;
+    /** Requests awaiting an address-bus grant, in arrival order. */
+    PooledDeque<std::uint64_t> pendingGrants_;
     std::function<void(const BusTxn &)> completionTap_;
     obs::Tracer *tracer_ = nullptr;
     NodeId tracerNode_ = 0;
-    std::unordered_map<std::uint64_t, BusTxn> open_;
+    /** Open transactions by id; nodes come from the pool. */
+    PooledMap<std::uint64_t, BusTxn> open_;
     std::uint64_t nextId_ = 1;
     unsigned granted_ = 0;
     Tick nextStrobeAllowed_ = 0;

@@ -3,6 +3,8 @@
 #include "obs/tracer.hh"
 
 #include <algorithm>
+#include <bit>
+#include <type_traits>
 #include <unordered_set>
 
 namespace ccnuma
@@ -327,7 +329,7 @@ CoherenceController::busDone(BusTxn &txn)
     if (it == fetches_.end() && strayDrop("bus fetch"))
         return;
     ccnuma_assert(it != fetches_.end());
-    std::unique_ptr<Exec> ex = std::move(it->second);
+    ExecPtr ex = std::move(it->second);
     fetches_.erase(it);
     ex->fetchFailed = txn.supply == SupplyDecision::NoData;
     ex->fetchShared = txn.sharedSeen;
@@ -450,7 +452,7 @@ CoherenceController::releaseWbWaiting(Addr line_addr)
     auto it = wbWaiting_.find(line_addr);
     if (it == wbWaiting_.end())
         return;
-    std::deque<DispatchItem> waiting = std::move(it->second);
+    ItemList waiting = std::move(it->second);
     wbWaiting_.erase(it);
     requeueFront(waiting);
 }
@@ -470,7 +472,7 @@ CoherenceController::queueOf(const DispatchItem &item)
 }
 
 void
-CoherenceController::requeueFront(const std::deque<DispatchItem> &items)
+CoherenceController::requeueFront(const ItemList &items)
 {
     // push_front in reverse keeps the items in their original order.
     for (auto it = items.rbegin(); it != items.rend(); ++it)
@@ -783,37 +785,52 @@ CoherenceController::drainHomeWaiting(Addr line_addr, Tick t)
     auto it = homeWaiting_.find(line_addr);
     if (it == homeWaiting_.end())
         return;
-    std::deque<DispatchItem> waiting = std::move(it->second);
+    ItemList waiting = std::move(it->second);
     homeWaiting_.erase(it);
     // Replay in arrival order. (No epoch guard: if a crash lands
     // first, enqueue parks the items with the rest of the outage's
     // replay work.)
-    eq_.scheduleFunction([this, waiting] { requeueFront(waiting); }, t);
+    eq_.scheduleFunction(
+        [this, waiting = std::move(waiting)] { requeueFront(waiting); },
+        t);
 }
 
 // ---------------------------------------------------------------------
 // Handler execution
 // ---------------------------------------------------------------------
 
+template <typename F>
 void
-CoherenceController::beginHandler(
-    unsigned engine_idx, HandlerId h, Addr line, int extra_targets,
-    CcBusOp bus_op, std::function<void(Exec &, Tick)> action)
+CoherenceController::beginHandler(unsigned engine_idx, HandlerId h,
+                                  Addr line, int extra_targets,
+                                  CcBusOp bus_op, F &&action)
 {
-    const HandlerSpec &spec = handlerSpec(h);
     engines_[engine_idx].curHandler = static_cast<std::uint8_t>(h);
     engines_[engine_idx].curExtraTargets = extra_targets;
-    auto ex = std::make_unique<Exec>();
+    ExecPtr ex = pool::make<Exec>();
     ex->engine = engine_idx;
     ex->handler = h;
     ex->lineAddr = line;
     ex->extraTargets = extra_targets;
     ex->busOp = bus_op;
-    ex->action = std::move(action);
+    if constexpr (!std::is_null_pointer_v<std::decay_t<F>>) {
+        static_assert(sizeof(std::decay_t<F>) <=
+                          decltype(Exec::action)::inlineBytes,
+                      "handler action capture exceeds Exec's inline "
+                      "storage");
+        ex->action.emplace(std::forward<F>(action));
+    }
+    runHandler(std::move(ex));
+}
 
+void
+CoherenceController::runHandler(ExecPtr ex)
+{
+    const HandlerSpec &spec = handlerSpec(ex->handler);
+    const Addr line = ex->lineAddr;
     Tick now = eq_.curTick();
     Tick pre_done = now + params_.dispatchLatency +
-                    spec.preCost(model_, extra_targets);
+                    spec.preCost(model_, ex->extraTargets);
     if (spec.readsDirectory)
         pre_done = dir_.scheduleRead(line, pre_done, nullptr);
 
@@ -844,7 +861,7 @@ CoherenceController::beginHandler(
 }
 
 void
-CoherenceController::respondPhase(std::unique_ptr<Exec> ex, Tick t)
+CoherenceController::respondPhase(ExecPtr ex, Tick t)
 {
     eq_.scheduleFunction(
         [this, ex = std::move(ex), ep = epoch_] {
@@ -1089,25 +1106,22 @@ CoherenceController::dirShared(Addr line_addr, std::uint64_t sharers,
     dir_.scheduleWrite(line_addr, t);
 }
 
-std::vector<NodeId>
+std::uint64_t
 CoherenceController::sharersBut(const DirEntry &d, NodeId skip) const
 {
-    std::vector<NodeId> targets;
-    for (NodeId n = 0; n < map_.numNodes(); ++n) {
-        if (d.isSharer(n) && n != skip)
-            targets.push_back(n);
-    }
-    return targets;
+    const unsigned n = map_.numNodes();
+    const std::uint64_t nodes = n >= 64 ? ~0ull : (1ull << n) - 1;
+    return d.sharers & nodes & ~sharerBit(skip);
 }
 
 void
 CoherenceController::collectAcks(unsigned engine_idx,
                                  const DispatchItem &item, HandlerId h,
-                                 std::vector<NodeId> targets)
+                                 std::uint64_t targets)
 {
-    ccnuma_assert(!targets.empty());
+    ccnuma_assert(targets != 0);
     const Addr line = item.lineAddr;
-    const int extra = static_cast<int>(targets.size());
+    const int extra = std::popcount(targets);
     openHomeTxn(item, static_cast<unsigned>(extra));
     // Fetch-exclusive: the data rides the last ack back to the
     // requester, and local copies acquired since the original bus
@@ -1117,17 +1131,20 @@ CoherenceController::collectAcks(unsigned engine_idx,
                      HomeTxn &txn = homeBusy_.at(line);
                      txn.dataVersion = ex.version;
                      txn.haveData = true;
-                     for (NodeId n : targets) {
-                         sendMsg(MsgType::InvalReq, line, n, node_, 0,
-                                 false, t);
+                     // Ascending node order, lowest bit first.
+                     for (std::uint64_t m = targets; m != 0; m &= m - 1) {
+                         sendMsg(MsgType::InvalReq, line,
+                                 static_cast<NodeId>(std::countr_zero(m)),
+                                 node_, 0, false, t);
                      }
                  });
 }
 
-std::deque<CoherenceController::DispatchItem>
+CoherenceController::ItemList
 CoherenceController::pendingItems(Addr line_addr, const ReqPending &rp)
 {
-    std::deque<DispatchItem> items;
+    ItemList items;
+    items.reserve(rp.busTxns.size() + rp.conflicting.size());
     for (std::uint64_t txn : rp.busTxns) {
         items.push_back(busItem(
             txn, line_addr, rp.excl ? BusCmd::ReadExcl : BusCmd::Read));
@@ -1243,7 +1260,9 @@ CoherenceController::busRemoteRequest(unsigned engine_idx,
         beginHandler(
             engine_idx, ownerHandler(excl, /*to_home=*/true), line, 0,
             excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-            [this, line, excl, retry = item](Exec &ex, Tick t) {
+            [this, retry = item](Exec &ex, Tick t) {
+                const Addr line = retry.lineAddr;
+                const bool excl = retry.busCmd == BusCmd::ReadExcl;
                 if (ex.fetchFailed) {
                     // The copy evaporated between the probe and the
                     // fetch; try again from the top (the retry will
@@ -1271,10 +1290,9 @@ CoherenceController::busRemoteRequest(unsigned engine_idx,
     }
 
     // Open a requester-side transaction and ask the home.
-    ReqPending rp;
+    ReqPending &rp = reqPending_.try_emplace(line).first->second;
     rp.excl = excl;
     rp.busTxns.push_back(item.busTxnId);
-    reqPending_[line] = rp;
     const bool resend = item.crashResend;
     beginHandler(engine_idx,
                  excl ? HandlerId::BusReadExclRemote
@@ -1346,14 +1364,14 @@ CoherenceController::homeRequest(unsigned engine_idx,
                         HandlerId::RemoteReadToHomeClean);
         return;
     }
-    std::vector<NodeId> targets = sharersBut(d, req);
-    if (targets.empty()) {
+    const std::uint64_t targets = sharersBut(d, req);
+    if (targets == 0) {
         grantFromMemory(engine_idx, item,
                         HandlerId::RemoteReadExclToHomeUncached);
         return;
     }
     collectAcks(engine_idx, item, HandlerId::RemoteReadExclToHomeShared,
-                std::move(targets));
+                targets);
 }
 
 void
@@ -1473,27 +1491,30 @@ CoherenceController::invalAck(unsigned engine_idx, const Msg &msg)
     ccnuma_assert(txn.acksExpected > 0);
     if (--txn.acksExpected > 0) {
         beginHandler(engine_idx, HandlerId::InvalAckMoreExpected, line,
-                     0, CcBusOp::None, nullptr);
+                     0, CcBusOp::None);
         return;
     }
     // The last ack: the data fetched at the home goes to the
-    // requester, which becomes the only holder.
-    const HomeTxn done = txn;
+    // requester, which becomes the only holder. The action keeps
+    // only the transaction fields it reads.
+    ccnuma_assert(txn.haveData);
+    const bool local = txn.localRequest;
+    const std::uint64_t bus_txn = txn.busTxnId;
+    const NodeId req = txn.requester;
+    const std::uint64_t version = txn.dataVersion;
     beginHandler(engine_idx,
-                 done.localRequest ? HandlerId::InvalAckLastLocal
-                                   : HandlerId::InvalAckLastRemote,
+                 local ? HandlerId::InvalAckLastLocal
+                       : HandlerId::InvalAckLastRemote,
                  line, 0, CcBusOp::None,
-                 [this, line, done](Exec &, Tick t) {
-                     ccnuma_assert(done.haveData);
-                     if (done.localRequest) {
-                         bus_.deferredRespond(done.busTxnId,
-                                              done.dataVersion, t);
+                 [this, line, local, bus_txn, req, version](Exec &,
+                                                            Tick t) {
+                     if (local) {
+                         bus_.deferredRespond(bus_txn, version, t);
                          dirHome(line, t);
                      } else {
-                         sendMsg(MsgType::DataExclReply, line,
-                                 done.requester, done.requester,
-                                 done.dataVersion, false, t);
-                         dirOwner(line, done.requester, t);
+                         sendMsg(MsgType::DataExclReply, line, req, req,
+                                 version, false, t);
+                         dirOwner(line, req, t);
                      }
                      closeHomeTxn(line, t);
                  });
@@ -1537,13 +1558,15 @@ CoherenceController::completeRequesterFill(Addr line_addr,
     retries_.clear(line_addr);
     for (std::uint64_t txn_id : it->second.busTxns)
         bus_.deferredRespond(txn_id, version, t);
-    std::deque<DispatchItem> conflicting =
-        std::move(it->second.conflicting);
+    ItemList conflicting = std::move(it->second.conflicting);
     reqPending_.erase(it);
     if (conflicting.empty())
         return;
     eq_.scheduleFunction(
-        [this, conflicting] { requeueFront(conflicting); }, t);
+        [this, conflicting = std::move(conflicting)] {
+            requeueFront(conflicting);
+        },
+        t);
 }
 
 void
@@ -1680,11 +1703,12 @@ CoherenceController::requestNacked(unsigned engine_idx, const Msg &msg)
                  CcBusOp::None, [this, line, backoff](Exec &, Tick t) {
                      auto it = reqPending_.find(line);
                      ccnuma_assert(it != reqPending_.end());
-                     std::deque<DispatchItem> items =
-                         pendingItems(line, it->second);
+                     ItemList items = pendingItems(line, it->second);
                      reqPending_.erase(it);
                      eq_.scheduleFunction(
-                         [this, items] { requeueFront(items); },
+                         [this, items = std::move(items)] {
+                             requeueFront(items);
+                         },
                          t + backoff);
                  });
 }
@@ -1700,12 +1724,13 @@ CoherenceController::poisonNacked(unsigned engine_idx, const Msg &msg)
     // via their poison-abort lists).
     const Addr line = msg.lineAddr;
     auto it = reqPending_.find(line);
-    const std::deque<DispatchItem> items = pendingItems(line, it->second);
+    ItemList items = pendingItems(line, it->second);
     reqPending_.erase(it);
     missLadders_.erase(line);
     retries_.clear(line);
     beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
-                 CcBusOp::None, [this, line, items](Exec &, Tick t) {
+                 CcBusOp::None,
+                 [this, line, items = std::move(items)](Exec &, Tick t) {
                      if (poisonFence_)
                          poisonFence_(line);
                      for (const auto &item : items)
@@ -1724,8 +1749,9 @@ CoherenceController::ownerNacked(unsigned engine_idx, const Msg &msg)
     const Tick backoff = retryDelay(line, "owner-nacked forward");
     beginHandler(engine_idx, HandlerId::OwnerNackAtHome, line, 0,
                  CcBusOp::None,
-                 [this, line, original, backoff](Exec &, Tick t) {
-                     closeHomeTxn(line, t);
+                 [this, original, backoff](Exec &, Tick t) {
+                     // The transaction is keyed by its request's line.
+                     closeHomeTxn(original.lineAddr, t);
                      eq_.scheduleFunction(
                          [this, original] {
                              enqueue(queueOf(original), original,

@@ -59,6 +59,7 @@
 #include "protocol/retry.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_tolerance.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma
@@ -507,16 +508,20 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         NumQueues = 3,
     };
 
-    /** One unit of work for a protocol engine. */
+    /**
+     * One unit of work for a protocol engine. The narrow fields sit
+     * together at the end so the item packs into 96 bytes: a
+     * controller pointer plus an item fits an event's inline capture.
+     */
     struct DispatchItem
     {
-        bool isBus = false;
         Msg msg;                    ///< valid when !isBus
         std::uint64_t busTxnId = 0; ///< valid when isBus
         Addr lineAddr = 0;
-        BusCmd busCmd = BusCmd::Read;
         Tick enqueueTick = 0;
         unsigned srcQueue = 0; ///< queue last enqueued on (tracing)
+        BusCmd busCmd = BusCmd::Read;
+        bool isBus = false;
         bool counted = false; ///< already counted as an arrival
         /**
          * Replayed after a crash (or resent on a miss timeout): the
@@ -526,6 +531,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
          */
         bool crashResend = false;
     };
+    using ItemList = PooledVector<DispatchItem>;
 
     /** A protocol engine (FSM or protocol processor). */
     struct Engine
@@ -536,7 +542,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         /** Line of the handler in flight (valid while busy). */
         Addr curLine = 0;
         bool curLineValid = false;
-        std::deque<DispatchItem> queues[NumQueues];
+        PooledDeque<DispatchItem> queues[NumQueues];
         unsigned netBypass = 0; ///< net requests since a bus request
         unsigned stallStreak = 0; ///< consecutive injected stalls
         /** Handler in flight for the tracer (0xff = none). */
@@ -574,8 +580,8 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     struct ReqPending
     {
         bool excl = false;
-        std::vector<std::uint64_t> busTxns;
-        std::deque<DispatchItem> conflicting;
+        PooledVector<std::uint64_t> busTxns;
+        ItemList conflicting;
     };
 
     /** Writeback buffer entry (data awaiting the home's ack). */
@@ -584,7 +590,10 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         std::uint64_t version = 0;
     };
 
-    /** Context of a handler execution in flight. */
+    /**
+     * Context of a handler execution in flight. Lives in a pool block
+     * (see ExecPtr), so a warm controller recycles the same few.
+     */
     struct Exec
     {
         unsigned engine = 0;
@@ -596,9 +605,15 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         bool fetchFailed = false;   ///< bus fetch found no data
         bool fetchShared = false;   ///< a cache retained a copy
         bool fetchDirty = false;    ///< a Modified copy was demoted
-        /** Protocol consequences, run at the respond point. */
-        std::function<void(Exec &, Tick)> action;
+        /**
+         * Protocol consequences, run at the respond point. Every
+         * handler's capture fits the inline storage (beginHandler
+         * asserts it); the largest is ownerNacked's DispatchItem plus
+         * a controller pointer and a backoff.
+         */
+        SmallCallback<void(Exec &, Tick)> action;
     };
+    using ExecPtr = pool::Ptr<Exec>;
 
     // enqueue / dispatch machinery
     void enqueue(unsigned queue, DispatchItem item,
@@ -606,7 +621,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     /** Bus items wait on QBusRequest, messages per msgTraits(). */
     static unsigned queueOf(const DispatchItem &item);
     /** Re-enqueue @p items at their queue fronts, in order. */
-    void requeueFront(const std::deque<DispatchItem> &items);
+    void requeueFront(const ItemList &items);
     unsigned engineFor(Addr line_addr) const;
     void tryDispatch(unsigned engine_idx);
     bool pickItem(Engine &e, DispatchItem &out);
@@ -615,10 +630,18 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     void serve(unsigned engine_idx, const DispatchItem &item);
 
     // handler execution
+    /**
+     * Start handler @p h on @p engine_idx; @p action (a callable
+     * taking (Exec &, Tick), or nullptr for none) runs at the respond
+     * point.
+     */
+    template <typename F = std::nullptr_t>
     void beginHandler(unsigned engine_idx, HandlerId h, Addr line,
                       int extra_targets, CcBusOp bus_op,
-                      std::function<void(Exec &, Tick)> action);
-    void respondPhase(std::unique_ptr<Exec> ex, Tick t);
+                      F &&action = nullptr);
+    /** Schedule @p ex's bus operation or its respond point. */
+    void runHandler(ExecPtr ex);
+    void respondPhase(ExecPtr ex, Tick t);
     void finishHandler(unsigned engine_idx, Tick free_at);
 
     /**
@@ -672,9 +695,9 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
      */
     void grantFromMemory(unsigned engine_idx, const DispatchItem &item,
                          HandlerId h, bool join = true);
-    /** Open a home transaction invalidating @p targets. */
+    /** Open a home transaction invalidating the nodes in @p targets. */
     void collectAcks(unsigned engine_idx, const DispatchItem &item,
-                     HandlerId h, std::vector<NodeId> targets);
+                     HandlerId h, std::uint64_t targets);
     void ownerForward(unsigned engine_idx, const Msg &msg);
     /** Answer forward @p fwd with the line's data. */
     void ownerSupply(const Msg &fwd, std::uint64_t version,
@@ -705,10 +728,10 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     void dirHome(Addr line_addr, Tick t);
     void dirOwner(Addr line_addr, NodeId owner, Tick t);
     void dirShared(Addr line_addr, std::uint64_t sharers, Tick t);
-    std::vector<NodeId> sharersBut(const DirEntry &d, NodeId skip) const;
+    /** @p d's sharer bitmask without node @p skip. */
+    std::uint64_t sharersBut(const DirEntry &d, NodeId skip) const;
     /** A pending transaction's bus requests, as engine work. */
-    static std::deque<DispatchItem> pendingItems(Addr line_addr,
-                                                 const ReqPending &rp);
+    static ItemList pendingItems(Addr line_addr, const ReqPending &rp);
     void sendMsg(MsgType type, Addr line_addr, NodeId dst,
                  NodeId requester, std::uint64_t version, bool retains,
                  Tick t, bool recovery_resend = false);
@@ -763,21 +786,25 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     int busAgentId_ = -1;
 
     std::vector<Engine> engines_;
-    std::unordered_map<Addr, HomeTxn> homeBusy_;
+    // Per-line transaction state. The maps draw their nodes from the
+    // pool but stay unordered_maps: crash(), answerDirProbe(),
+    // drainWbHomedAt() and replayPendingHomedAt() walk them in
+    // iteration order, and that order reaches simulated state.
+    PooledMap<Addr, HomeTxn> homeBusy_;
     /** Local-line bus requests deferred but not yet dispatched. */
-    std::unordered_map<Addr, unsigned> deferredLocal_;
-    std::unordered_map<Addr, std::deque<DispatchItem>> homeWaiting_;
-    std::unordered_map<Addr, ReqPending> reqPending_;
-    std::unordered_map<Addr, WbEntry> wbBuffer_;
+    PooledMap<Addr, unsigned> deferredLocal_;
+    PooledMap<Addr, ItemList> homeWaiting_;
+    PooledMap<Addr, ReqPending> reqPending_;
+    PooledMap<Addr, WbEntry> wbBuffer_;
     /**
      * Local requests stalled behind an unacknowledged writeback of
      * the same line: they may only be sent to the home after the
      * home has absorbed our writeback, preserving the protocol's
      * request-follows-writeback ordering.
      */
-    std::unordered_map<Addr, std::deque<DispatchItem>> wbWaiting_;
+    PooledMap<Addr, ItemList> wbWaiting_;
     /** Bus fetches in flight, by bus transaction id. */
-    std::unordered_map<std::uint64_t, std::unique_ptr<Exec>> fetches_;
+    PooledMap<std::uint64_t, ExecPtr> fetches_;
 
     // --- crash-recovery state (PR 6) ---
     CcState state_ = CcState::Normal;
@@ -817,7 +844,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         unsigned resends = 0;
         unsigned probes = 0;
     };
-    std::unordered_map<Addr, MissLadder> missLadders_;
+    PooledMap<Addr, MissLadder> missLadders_;
     DegradedHook degradedHook_;
     RebuildCheckHook rebuildCheckHook_;
     CacheScanFn cacheScan_;

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace ccnuma
@@ -16,6 +17,48 @@ lineStateName(LineState s)
     }
     return "?";
 }
+
+namespace
+{
+
+/** Tag and partial-tag arrays of a destroyed cache. */
+struct SpareArrays
+{
+    std::vector<CacheLine> lines;
+    std::vector<std::uint8_t> partial;
+};
+
+/** Set once the thread's spare list is gone (thread exit). */
+thread_local constinit bool sparesRetired = false;
+
+struct SpareList
+{
+    std::vector<SpareArrays> arrays;
+    SpareList() = default;
+    SpareList(const SpareList &) = delete;
+    SpareList &operator=(const SpareList &) = delete;
+    ~SpareList() { sparesRetired = true; }
+};
+
+/**
+ * The arrays of caches destroyed on this thread, or null while the
+ * thread exits. A sweep builds one machine per point, and a
+ * 64-processor machine's L2 tag arrays are 16 MB: the next machine
+ * takes them over instead of allocating and page-faulting them
+ * afresh, whatever the allocator did with the freed heap in between.
+ * Of each size, at most as many arrays wait here as caches of that
+ * size were alive at once on the thread.
+ */
+std::vector<SpareArrays> *
+spareArrays()
+{
+    if (sparesRetired)
+        return nullptr;
+    static thread_local SpareList spare;
+    return &spare.arrays;
+}
+
+} // namespace
 
 SetAssocCache::SetAssocCache(const std::string &name,
                              std::uint64_t size_bytes, unsigned assoc,
@@ -37,11 +80,31 @@ SetAssocCache::SetAssocCache(const std::string &name,
         fatal("cache %s: set count %u not a power of two",
               name.c_str(), numSets_);
     lineShift_ = std::countr_zero(static_cast<unsigned>(lineBytes_));
-    lines_.resize(num_lines);
+    tagShift_ = lineShift_ + std::countr_zero(numSets_);
+    if (std::vector<SpareArrays> *spare = spareArrays()) {
+        auto it = std::find_if(spare->begin(), spare->end(),
+                               [&](const SpareArrays &a) {
+                                   return a.lines.size() == num_lines;
+                               });
+        if (it != spare->end()) {
+            lines_ = std::move(it->lines);
+            partial_ = std::move(it->partial);
+            *it = std::move(spare->back());
+            spare->pop_back();
+        }
+    }
+    lines_.assign(num_lines, CacheLine{});
+    partial_.assign(num_lines, 0);
 
     statGroup_.add(&statEvictions);
     statGroup_.add(&statDirtyEvictions);
     statGroup_.add(&statInvalidations);
+}
+
+SetAssocCache::~SetAssocCache()
+{
+    if (std::vector<SpareArrays> *spare = spareArrays())
+        spare->push_back({std::move(lines_), std::move(partial_)});
 }
 
 std::size_t
@@ -56,14 +119,16 @@ SetAssocCache::findLine(Addr addr)
     // Resolve before the tag compare: a corrupted tag must never
     // produce a false hit (or mask a true one).
     resolvePending();
-    // Invalid lines carry kNoLineTag, so tag equality alone decides a
-    // hit; the way loop is branch-per-compare over one contiguous set.
-    Addr la = lineAlign(addr);
-    CacheLine *line = lines_.data() + setIndex(addr) * assoc_;
-    CacheLine *end = line + assoc_;
-    for (; line != end; ++line) {
-        if (line->lineAddr == la)
-            return line;
+    // Invalid lines carry kNoLineTag (and partial tag 0), so tag
+    // equality alone decides a hit; the partial tag only spares the
+    // full compare on ways that cannot match.
+    const Addr la = lineAlign(addr);
+    const std::size_t base = setIndex(addr) * assoc_;
+    const std::uint8_t pt = partialTag(la);
+    const std::uint8_t *p = partial_.data() + base;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (p[w] == pt && lines_[base + w].lineAddr == la)
+            return &lines_[base + w];
     }
     return nullptr;
 }
@@ -91,6 +156,8 @@ SetAssocCache::allocate(Addr addr, LineState st, Victim *victim)
         if (!target || line.lastUse < target->lastUse)
             target = &line;
     }
+    partial_[static_cast<std::size_t>(target - lines_.data())] =
+        partialTag(la);
     if (victim) {
         victim->valid = lineValid(target->state);
         victim->lineAddr = target->lineAddr;
@@ -118,6 +185,7 @@ SetAssocCache::invalidate(Addr addr)
     LineState prior = line->state;
     line->state = LineState::Invalid;
     line->lineAddr = kNoLineTag;
+    partial_[static_cast<std::size_t>(line - lines_.data())] = 0;
     ++statInvalidations;
     return prior;
 }
@@ -132,6 +200,7 @@ SetAssocCache::invalidateAll()
         line.state = LineState::Invalid;
         line.lineAddr = kNoLineTag;
     }
+    std::fill(partial_.begin(), partial_.end(), std::uint8_t{0});
 }
 
 std::size_t

@@ -88,6 +88,9 @@ class SetAssocCache
     SetAssocCache(const std::string &name, std::uint64_t size_bytes,
                   unsigned assoc, unsigned line_bytes);
 
+    /** Hands the tag arrays to the next cache built on this thread. */
+    ~SetAssocCache();
+
     unsigned lineBytes() const { return lineBytes_; }
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -100,11 +103,27 @@ class SetAssocCache
     }
 
     /**
-     * Find the line holding @p addr.
+     * Find the line holding @p addr. Only ways whose partial tag
+     * matches are compared in full, so a miss (every snoop of an
+     * absent line) reads the set's partial-tag bytes and, unless one
+     * of them collides, nothing else.
      * @return pointer into the tag array, or nullptr on miss.
      */
     CacheLine *findLine(Addr addr);
     const CacheLine *findLine(Addr addr) const;
+
+    /**
+     * The 8-bit partial tag of @p addr's line: the low byte of the
+     * bits above the set index, folded with the next byte, and never
+     * 0 (the mark of an empty way).
+     */
+    std::uint8_t
+    partialTag(Addr addr) const
+    {
+        const Addr tag = addr >> tagShift_;
+        const auto h = static_cast<std::uint8_t>(tag ^ (tag >> 8));
+        return h != 0 ? h : 1;
+    }
 
     /** Mark a line most-recently-used. */
     void
@@ -224,7 +243,17 @@ class SetAssocCache
     unsigned assoc_;
     unsigned numSets_;
     unsigned lineShift_;
+    /** Shift that drops the offset and set-index bits. */
+    unsigned tagShift_;
     mutable std::vector<CacheLine> lines_; ///< set-major
+    /**
+     * Host-side snoop filter, parallel to lines_: each way's
+     * partialTag(), 0 when the way holds no line. Only allocate(),
+     * invalidate() and invalidateAll() write it; an injected tag flip
+     * corrupts lines_ alone and is corrected before any lookup, so
+     * the filter always describes the pristine tags.
+     */
+    std::vector<std::uint8_t> partial_;
     std::uint64_t useClock_ = 0;
     mutable std::vector<PendingCe> pendingCe_;
     mutable std::uint64_t eccCorrected_ = 0;

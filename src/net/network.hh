@@ -107,7 +107,7 @@ class Network
      * the tick the message has fully arrived at the destination's
      * network interface. The callback goes straight into the event
      * queue's one-shot pool: keep captures small (within
-     * SmallCallback::inlineBytes) and this path never allocates.
+     * SmallCallback<>::inlineBytes) and this path never allocates.
      */
     template <typename F>
     void

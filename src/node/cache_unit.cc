@@ -69,11 +69,8 @@ CacheUnit::access(Addr addr, bool write)
 }
 
 void
-CacheUnit::startMiss(Addr addr, bool write,
-                     std::function<void(Tick, std::uint64_t)>
-                         on_restart)
+CacheUnit::issueMiss(Addr addr, bool write)
 {
-    ccnuma_assert(!mshr_.valid);
     Addr line = l2_.lineAlign(addr);
     // Under first-touch placement, the first miss pins the page to
     // the missing processor's node.
@@ -88,7 +85,6 @@ CacheUnit::startMiss(Addr addr, bool write,
     mshr_.lineAddr = line;
     mshr_.write = write;
     mshr_.invalAfterFill = false;
-    mshr_.onRestart = std::move(on_restart);
     mshr_.busTxnId = bus_.request(
         write ? BusCmd::ReadExcl : BusCmd::Read, line, agentId_);
     armMissTimer();
@@ -293,7 +289,7 @@ CacheUnit::poisonAbort(Addr line)
         return;
     poisonedTxns_.push_back(mshr_.busTxnId);
     mshr_.valid = false;
-    mshr_.onRestart = nullptr;
+    mshr_.onRestart.reset();
     ++missGen_; // retire any armed miss timer
 }
 
@@ -332,10 +328,10 @@ CacheUnit::busDone(BusTxn &txn)
         l2_.invalidate(mshr_.lineAddr);
         l1_.invalidate(mshr_.lineAddr);
     }
-    auto cb = std::move(mshr_.onRestart);
     mshr_.valid = false;
     ++missGen_; // retire any armed miss timer
-    cb(eq_.curTick() + params_.fillRestart, consumed);
+    mshr_.onRestart(eq_.curTick() + params_.fillRestart, consumed);
+    mshr_.onRestart.reset();
 }
 
 } // namespace ccnuma

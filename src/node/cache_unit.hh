@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bus/bus.hh"
@@ -71,10 +72,20 @@ class CacheUnit : public BusAgent
      * Begin servicing a miss (one outstanding at a time). When the
      * fill's critical beat arrives, @p on_restart is invoked with the
      * tick at which the processor may restart and the version of the
-     * data it consumed.
+     * data it consumed. It is stored inline (RestartFn), and must not
+     * start the next miss itself: schedule that instead.
      */
-    void startMiss(Addr addr, bool write,
-                   std::function<void(Tick, std::uint64_t)> on_restart);
+    template <typename F>
+    void
+    startMiss(Addr addr, bool write, F &&on_restart)
+    {
+        static_assert(sizeof(std::decay_t<F>) <= RestartFn::inlineBytes,
+                      "miss-restart capture exceeds the inline storage");
+        ccnuma_assert(!mshr_.valid);
+        mshr_.onRestart.reset();
+        mshr_.onRestart.emplace(std::forward<F>(on_restart));
+        issueMiss(addr, write);
+    }
 
     /** @return true while the single MSHR is occupied. */
     bool missPending() const { return mshr_.valid; }
@@ -202,6 +213,15 @@ class CacheUnit : public BusAgent
         "dirty lines written back on eviction"};
 
   private:
+    /**
+     * Miss-restart callback: (restart tick, consumed version). Sized
+     * for the processor's sync-reference capture, which carries a
+     * std::function continuation.
+     */
+    using RestartFn = SmallCallback<void(Tick, std::uint64_t), 48>;
+
+    /** Open the MSHR for @p addr and issue its bus request. */
+    void issueMiss(Addr addr, bool write);
     void installFill(Addr line_addr, bool write, const BusTxn &txn);
     SnoopResult wbSupply(BusTxn &txn);
     void armMissTimer();
@@ -213,7 +233,7 @@ class CacheUnit : public BusAgent
         bool write = false;
         std::uint64_t busTxnId = 0;
         bool invalAfterFill = false;
-        std::function<void(Tick, std::uint64_t)> onRestart;
+        RestartFn onRestart;
     };
 
     struct WbEntry

@@ -141,20 +141,26 @@ class Event
 };
 
 /**
- * Fixed-footprint type-erased callback: callables up to inlineBytes
- * are stored in place; larger ones fall back to the heap (counted by
- * the owning queue so the allocation-free tests can assert the hot
- * path never takes the fallback).
+ * Fixed-footprint type-erased callable of signature @p Sig: callables
+ * up to @p InlineBytes are stored in place; larger ones fall back to
+ * the heap (emplace reports it, so owners can count it and the
+ * allocation-free tests can assert the hot paths never take the
+ * fallback). The event queue's one-shots use the default void()
+ * shape; the coherence controller's handler actions and the cache
+ * unit's miss-restart callback use their own signatures and sizes.
  */
-class SmallCallback
+template <typename Sig = void(), std::size_t InlineBytes = 112>
+class SmallCallback;
+
+template <typename R, typename... Args, std::size_t InlineBytes>
+class SmallCallback<R(Args...), InlineBytes>
 {
   public:
     /**
-     * Sized so that a captured DispatchItem-by-value plus a couple of
-     * pointers — the largest hot-path capture in the simulator —
-     * still fits in place.
+     * The default is sized so that a captured DispatchItem-by-value
+     * plus a pointer still fits in place.
      */
-    static constexpr std::size_t inlineBytes = 112;
+    static constexpr std::size_t inlineBytes = InlineBytes;
 
     SmallCallback() = default;
     SmallCallback(const SmallCallback &) = delete;
@@ -176,7 +182,6 @@ class SmallCallback
                       alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void *>(buf_))
                 Fn(std::forward<F>(fn));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
             if constexpr (!std::is_trivially_destructible_v<Fn>) {
                 destroy_ = [](void *p) {
                     static_cast<Fn *>(p)->~Fn();
@@ -184,20 +189,24 @@ class SmallCallback
             }
             heap = false;
         } else {
-            Fn *obj = new Fn(std::forward<F>(fn));
-            heap_ = obj;
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
+            heap_ = new Fn(std::forward<F>(fn));
             destroy_ = [](void *p) { delete static_cast<Fn *>(p); };
             heap = true;
         }
+        invoke_ = [](void *p, Args... args) -> R {
+            return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
+        };
         return heap;
     }
 
-    void
-    operator()()
+    explicit operator bool() const { return invoke_ != nullptr; }
+
+    R
+    operator()(Args... args)
     {
         ccnuma_assert(invoke_ != nullptr);
-        invoke_(heap_ ? heap_ : static_cast<void *>(buf_));
+        return invoke_(heap_ ? heap_ : static_cast<void *>(buf_),
+                       std::forward<Args>(args)...);
     }
 
     void
@@ -211,7 +220,7 @@ class SmallCallback
     }
 
   private:
-    void (*invoke_)(void *) = nullptr;
+    R (*invoke_)(void *, Args...) = nullptr;
     void (*destroy_)(void *) = nullptr;
     void *heap_ = nullptr;
     alignas(std::max_align_t) unsigned char buf_[inlineBytes];
@@ -528,7 +537,7 @@ class EventQueue
 
       private:
         friend class EventQueue;
-        SmallCallback cb_;
+        SmallCallback<> cb_;
         const char *name_ = "one-shot";
     };
 

@@ -84,16 +84,22 @@ MachineConfig::withEnvOverrides()
     // oracle for the sharded modes.
     forceSyncDefer = envSwitch("CCNUMA_SYNC_DEFER", forceSyncDefer);
     if (const char *env = std::getenv("CCNUMA_VERIFY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "checker") ||
-            !std::strcmp(env, "all")) {
+        const bool all = !std::strcmp(env, "all");
+        const bool checker = all || !std::strcmp(env, "1") ||
+                             !std::strcmp(env, "checker");
+        const bool watchdog = all || !std::strcmp(env, "watchdog");
+        if (checker)
             verify.checker = true;
-        }
-        if (!std::strcmp(env, "watchdog") || !std::strcmp(env, "all"))
+        if (watchdog)
             verify.watchdog = true;
-        if (!verify.checker && !verify.watchdog) {
+        // Judged on the value alone: a typo is reported even when the
+        // config already turned a verifier on.
+        if (!checker && !watchdog) {
             warn("CCNUMA_VERIFY=%s not recognized (use "
-                 "checker|watchdog|all|1); verification stays off",
-                 env);
+                 "checker|watchdog|all|1); keeping checker %s, "
+                 "watchdog %s",
+                 env, verify.checker ? "on" : "off",
+                 verify.watchdog ? "on" : "off");
         }
     }
     if (envSwitch("CCNUMA_TRACE", false))

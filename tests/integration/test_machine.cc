@@ -287,6 +287,38 @@ TEST(MachineConfigTest, BadTraceEnvKeepsConfiguredValues)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
+TEST(MachineConfigTest, BadVerifyEnvWarnsWhateverTheConfig)
+{
+    // CCNUMA_VERIFY takes checker|watchdog|all|1. A typo is reported
+    // even when the config already has the checker on, and it turns
+    // nothing on.
+    struct UnsetOnExit
+    {
+        ~UnsetOnExit() { unsetenv("CCNUMA_VERIFY"); }
+    } unset_on_exit;
+    ASSERT_EQ(setenv("CCNUMA_VERIFY", "wachdog", 1), 0);
+    for (bool checker : {true, false}) {
+        SCOPED_TRACE(checker ? "checker on" : "checker off");
+        MachineConfig cfg = MachineConfig::base();
+        cfg.verify.checker = checker;
+        testing::internal::CaptureStderr();
+        cfg.withEnvOverrides();
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("CCNUMA_VERIFY=wachdog"), std::string::npos)
+            << err;
+        EXPECT_EQ(cfg.verify.checker, checker);
+        EXPECT_FALSE(cfg.verify.watchdog);
+    }
+    ASSERT_EQ(setenv("CCNUMA_VERIFY", "watchdog", 1), 0);
+    MachineConfig cfg = MachineConfig::base();
+    cfg.verify.checker = true;
+    testing::internal::CaptureStderr();
+    cfg.withEnvOverrides();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_TRUE(cfg.verify.checker);
+    EXPECT_TRUE(cfg.verify.watchdog);
+}
+
 TEST(MachineConfigTest, FaultToleranceBuildersOnlyRaise)
 {
     using FT = FaultTolerance;

@@ -105,6 +105,88 @@ TEST(Cache, NumValidAndForEach)
     EXPECT_EQ(c.numValid(), 0u);
 }
 
+TEST(Cache, PartialTagCollisionsStayDistinct)
+{
+    // Two lines of one set with equal 8-bit partial tags: the snoop
+    // filter passes both to the full tag compare, which must tell
+    // them apart through every operation that writes the filter and
+    // through a corrected tag flip.
+    SetAssocCache c = makeCache();
+    const Addr stride = c.numSets() * c.lineBytes(); // same set
+    const Addr a = 0x2000;
+    Addr b = a + stride;
+    while (c.partialTag(b) != c.partialTag(a))
+        b += stride;
+    Addr other = a + stride;
+    while (c.partialTag(other) == c.partialTag(a))
+        other += stride;
+
+    auto expect_held = [&](Addr x, bool held) {
+        const CacheLine *l = c.findLine(x);
+        if (!held) {
+            EXPECT_EQ(l, nullptr) << std::hex << x;
+            return;
+        }
+        ASSERT_NE(l, nullptr) << std::hex << x;
+        EXPECT_EQ(l->lineAddr, x);
+    };
+
+    c.allocate(a, LineState::Shared, nullptr);
+    expect_held(a, true);
+    expect_held(b, false);
+    expect_held(other, false);
+    c.allocate(b, LineState::Modified, nullptr);
+    expect_held(a, true);
+    expect_held(b, true);
+    EXPECT_EQ(c.findLine(b)->state, LineState::Modified);
+
+    EXPECT_EQ(c.invalidate(a), LineState::Shared);
+    expect_held(a, false);
+    expect_held(b, true);
+    c.allocate(a, LineState::Exclusive, nullptr);
+    expect_held(a, true);
+
+    c.invalidateAll();
+    expect_held(a, false);
+    expect_held(b, false);
+
+    // Correctable flips on both lines, each scrubbed before the next.
+    // injectCeFlip draws the victim, then the word (0 = tag), then
+    // the bit; a copy of the generator shows which flips hit a tag.
+    c.allocate(a, LineState::Shared, nullptr);
+    c.allocate(b, LineState::Shared, nullptr);
+    Random rng(7);
+    unsigned tag_flips = 0;
+    for (int i = 0; i < 24; ++i) {
+        Random peek = rng;
+        peek.below(c.numValid());
+        tag_flips += peek.below(3) == 0;
+        const Addr victim = c.injectCeFlip(rng);
+        EXPECT_TRUE(victim == a || victim == b);
+        EXPECT_EQ(c.scrubNow(), 1u);
+        expect_held(a, true);
+        expect_held(b, true);
+        expect_held(other, false);
+    }
+    EXPECT_GT(tag_flips, 0u);
+}
+
+TEST(Cache, RecycledArraysStartEmpty)
+{
+    // A destroyed cache's tag arrays go to the next cache of the same
+    // size built on the thread; that cache must start with no line.
+    {
+        SetAssocCache c = makeCache();
+        for (Addr a = 0; a < 32 * 128; a += 128)
+            c.allocate(a, LineState::Modified, nullptr);
+        ASSERT_EQ(c.numValid(), 32u);
+    }
+    SetAssocCache c = makeCache();
+    EXPECT_EQ(c.numValid(), 0u);
+    for (Addr a = 0; a < 32 * 128; a += 128)
+        EXPECT_EQ(c.findLine(a), nullptr) << std::hex << a;
+}
+
 TEST(Cache, BadGeometryRejected)
 {
     EXPECT_THROW(SetAssocCache("bad", 4096, 4, 100), FatalError);

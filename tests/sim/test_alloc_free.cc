@@ -5,9 +5,11 @@
  * This binary replaces the global allocator with a counting wrapper
  * and asserts that the simulator's steady-state event paths — pooled
  * one-shot callbacks, reusable member events, and network sends —
- * perform ZERO heap allocations per event once warm. It lives in its
- * own test target so the replaced operator new cannot perturb (or be
- * perturbed by) unrelated tests.
+ * perform ZERO heap allocations per event once warm, and that a whole
+ * machine's protocol path (bus, controller handlers, network, fills)
+ * stays below one allocation per hundred simulated references. It
+ * lives in its own test target so the replaced operator new cannot
+ * perturb (or be perturbed by) unrelated tests.
  */
 
 #include <atomic>
@@ -19,6 +21,8 @@
 
 #include "net/network.hh"
 #include "sim/event_queue.hh"
+#include "system/machine.hh"
+#include "workload/synthetic.hh"
 
 namespace
 {
@@ -61,7 +65,7 @@ allocCount()
 }
 
 /** Representative hot-path capture: two pointers plus a message-ish
- * payload, comfortably inside SmallCallback::inlineBytes. */
+ * payload, comfortably inside SmallCallback<>::inlineBytes. */
 struct Payload
 {
     std::uint64_t words[10] = {};
@@ -154,6 +158,62 @@ TEST(AllocFree, NetworkSendSteadyState)
         << "Network::send steady state allocated";
     EXPECT_EQ(eq.callbackHeapFallbacks(), 0u);
     EXPECT_EQ(delivered, 64u + 500u * 12u);
+}
+
+/** Simulated references of one run, and the allocations it made. */
+struct ProtocolRun
+{
+    std::uint64_t refs = 0;
+    std::uint64_t allocs = 0;
+};
+
+/**
+ * Build and run the BM_ProtocolTransactions machine (4 nodes x 2
+ * CPUs, PPC, Uniform with 90% shared references and 40% stores) over
+ * a 16 KB shared region and 4 KB per thread, so that nearly every
+ * reference is a coherence miss on a small, quickly warmed set of
+ * lines.
+ */
+ProtocolRun
+protocolRun(std::uint64_t refs_per_thread)
+{
+    const std::uint64_t before = allocCount();
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 4;
+    cfg.node.procsPerNode = 2;
+    cfg.withArch(Arch::PPC);
+    Machine m(cfg);
+    WorkloadParams p;
+    p.numThreads = cfg.totalProcs();
+    UniformWorkload::Knobs k;
+    k.refsPerThread = refs_per_thread;
+    k.sharedFraction = 0.9;
+    k.writeFraction = 0.4;
+    k.sharedBytes = 16 << 10;
+    k.privateBytes = 4 << 10;
+    UniformWorkload w(p, k);
+    RunResult r = m.run(w);
+    EXPECT_TRUE(r.completed);
+    return {r.memRefs, allocCount() - before};
+}
+
+TEST(AllocFree, ProtocolPathSteadyState)
+{
+    // The warm-up run fills the thread's pools; the two fresh
+    // machines after it differ only in run length, so the
+    // difference in their allocations is what the extra coherence
+    // transactions cost.
+    protocolRun(2000);
+    const ProtocolRun shorter = protocolRun(2000);
+    const ProtocolRun longer = protocolRun(4000);
+    ASSERT_GT(longer.refs, shorter.refs);
+    const double per_ref =
+        (static_cast<double>(longer.allocs) -
+         static_cast<double>(shorter.allocs)) /
+        static_cast<double>(longer.refs - shorter.refs);
+    EXPECT_LT(per_ref, 0.01)
+        << shorter.allocs << " allocations for " << shorter.refs
+        << " references, " << longer.allocs << " for " << longer.refs;
 }
 
 } // namespace

@@ -395,7 +395,7 @@ TEST(EventQueue, MoveOnlyOneShotFiresOnceAndIsReleased)
                 ++fired;
             },
             5);
-        std::array<char, SmallCallback::inlineBytes> pad{};
+        std::array<char, SmallCallback<>::inlineBytes> pad{};
         eq.scheduleFunction(
             [t = std::make_unique<Tracked>(&live), pad, &fired] {
                 EXPECT_NE(t, nullptr);
@@ -415,6 +415,31 @@ TEST(EventQueue, MoveOnlyOneShotFiresOnceAndIsReleased)
     }
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(live, 0);
+}
+
+TEST(SmallCallback, PassesArgumentsAndReportsHeapFallback)
+{
+    // The one callable type carries any signature: arguments by
+    // reference and value reach the target, the result comes back,
+    // and emplace reports when a capture outgrows the inline bytes.
+    SmallCallback<int(int &, int), 16> cb;
+    EXPECT_FALSE(cb);
+    const int bias = 5;
+    EXPECT_FALSE(cb.emplace([bias](int &acc, int x) {
+        acc += x;
+        return acc + bias;
+    }));
+    int acc = 1;
+    EXPECT_EQ(cb(acc, 2), 8);
+    EXPECT_EQ(acc, 3);
+    cb.reset();
+    EXPECT_FALSE(cb);
+    std::array<int, 8> big{};
+    big[7] = 4;
+    EXPECT_TRUE(cb.emplace([big](int &acc2, int x) {
+        return acc2 + x + big[7];
+    }));
+    EXPECT_EQ(cb(acc, 1), 8);
 }
 
 } // namespace
